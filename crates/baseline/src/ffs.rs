@@ -188,21 +188,22 @@ impl DiskFs {
         self.disk.set_recorder(recorder);
     }
 
-    /// Folds the baseline's counters into the unified registry.
-    pub fn publish_metrics(&self, reg: &mut ssmc_sim::obs::MetricsRegistry) {
-        reg.counter("ffs.meta_sync_writes", self.stats.meta_sync_writes);
-        reg.counter("ffs.sync_passes", self.stats.sync_passes);
-        reg.counter("ffs.sync_blocks", self.stats.sync_blocks);
+    /// The baseline's metrics walk: FFS and buffer-cache counters, the
+    /// disk below, and the cache DRAM energy ledger
+    /// (`energy.cache_total_nj`, plus the `energy.cache_*` per-component
+    /// accounts in the registry).
+    pub fn publish_metrics(&self, sink: &mut impl ssmc_sim::obs::MetricSink) {
+        sink.counter("ffs.meta_sync_writes", self.stats.meta_sync_writes);
+        sink.counter("ffs.sync_passes", self.stats.sync_passes);
+        sink.counter("ffs.sync_blocks", self.stats.sync_blocks);
         let cs = self.cache.stats();
-        reg.counter("cache.hits", cs.hits);
-        reg.counter("cache.misses", cs.misses);
-        reg.counter("cache.write_backs", cs.write_backs);
-        reg.counter("cache.write_cancels", cs.write_cancels);
-        reg.gauge("cache.hit_rate", cs.hit_rate());
-        self.disk.publish_metrics(reg);
-        for (component, e) in self.cache.dram().energy().iter() {
-            reg.counter(&format!("energy.cache_{component}_nj"), e.as_nanojoules());
-        }
+        sink.counter("cache.hits", cs.hits);
+        sink.counter("cache.misses", cs.misses);
+        sink.counter("cache.write_backs", cs.write_backs);
+        sink.counter("cache.write_cancels", cs.write_cancels);
+        sink.gauge("cache.hit_rate", cs.hit_rate());
+        self.disk.publish_metrics(sink);
+        sink.energy_ledger("energy.cache_total_nj", "cache_", self.cache.dram().energy());
     }
 
     /// Buffer cache (stats, energy).

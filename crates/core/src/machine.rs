@@ -10,7 +10,7 @@ use crate::config::MachineConfig;
 use ssmc_baseline::{BaselineConfig, DiskFs};
 use ssmc_device::{Battery, BatterySpec, BatteryState};
 use ssmc_memfs::{FileMap, FsError, MemFs, OpenMode};
-use ssmc_sim::obs::{EventKind, MetricsRegistry, Recorder, Span};
+use ssmc_sim::obs::{EventKind, MetricSink, MetricsRegistry, Recorder, Span};
 use ssmc_sim::timeline::{SampleBuf, Schema, SeekWrite, TimelineSink, TimelineSummary};
 use ssmc_sim::{Clock, Energy, SharedClock, SimDuration, SimTime};
 use ssmc_storage::{DenseIndex, RecoveryReport, StorageManager};
@@ -133,27 +133,36 @@ impl MobileComputer {
         &self.recorder
     }
 
+    /// The machine's one metrics walk, in timeline channel order: file
+    /// system (with storage, flash, and per-segment wear below it), VM,
+    /// machine and replay totals, and battery. [`Self::metrics_registry`]
+    /// and the timeline are this walk run into their two sinks.
+    fn publish_metrics(&self, sink: &mut impl MetricSink) {
+        self.fs.publish_metrics(sink);
+        self.vm.publish_metrics(sink);
+        sink.counter("machine.energy_total_nj", self.total_energy().as_nanojoules());
+        sink.counter("machine.energy_drained_nj", self.drained.as_nanojoules());
+        sink.counter("replay.batches", self.replay_batches);
+        sink.counter("replay.batch_ops", self.replay_batch_ops);
+        sink.counter("replay.coalesced_ops", self.replay_coalesced_ops);
+        sink.gauge("machine.sim_time_s", self.clock.now().as_secs_f64());
+        self.battery.publish_metrics(sink);
+    }
+
     /// Assembles the unified metrics registry: every layer's counters,
     /// gauges, and time-weighted instruments under one snapshot.
     pub fn metrics_registry(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
-        self.fs.publish_metrics(&mut reg);
-        self.vm.publish_metrics(&mut reg);
-        reg.counter("machine.energy_total_nj", self.total_energy().as_nanojoules());
-        reg.counter("machine.energy_drained_nj", self.drained.as_nanojoules());
-        reg.counter("replay.batches", self.replay_batches);
-        reg.counter("replay.batch_ops", self.replay_batch_ops);
-        reg.counter("replay.coalesced_ops", self.replay_coalesced_ops);
-        reg.gauge("machine.sim_time_s", self.clock.now().as_secs_f64());
+        self.publish_metrics(&mut reg);
         reg
     }
 
-    /// The machine's timeline channel schema, built by one registration
-    /// pass over the same per-layer `sample_timeline` walk that later
-    /// produces values — schema and samples cannot drift apart.
+    /// The machine's timeline channel schema: one registration pass over
+    /// [`Self::publish_metrics`], the same walk that later produces
+    /// values — schema and samples cannot drift apart.
     pub fn timeline_schema(&self) -> Schema {
         let mut buf = SampleBuf::registration();
-        self.fill_sample(&mut buf);
+        self.publish_metrics(&mut buf);
         buf.into_schema()
     }
 
@@ -207,29 +216,8 @@ impl MobileComputer {
         let Some(mut tl) = self.timeline.take() else {
             return Ok(None);
         };
-        tl.sample(self.clock.now(), |buf| self.fill_sample(buf))?;
+        tl.sample(self.clock.now(), |buf| self.publish_metrics(buf))?;
         tl.finish().map(Some)
-    }
-
-    /// Fills every timeline channel, in registration order: file system
-    /// (with storage, flash, and per-segment wear below it), VM, machine
-    /// totals, and battery.
-    fn fill_sample(&self, buf: &mut SampleBuf) {
-        self.fs.sample_timeline(buf);
-        self.vm.sample_timeline(buf);
-        buf.counter(
-            || "machine.energy_total_nj".into(),
-            self.total_energy().as_nanojoules(),
-        );
-        buf.counter(
-            || "machine.energy_drained_nj".into(),
-            self.drained.as_nanojoules(),
-        );
-        buf.counter(|| "replay.batches".into(), self.replay_batches);
-        buf.counter(|| "replay.batch_ops".into(), self.replay_batch_ops);
-        buf.counter(|| "replay.coalesced_ops".into(), self.replay_coalesced_ops);
-        buf.gauge(|| "machine.sim_time_s".into(), self.clock.now().as_secs_f64());
-        self.battery.sample_timeline(buf);
     }
 
     /// Samples the timeline if a boundary has been crossed. At most one
@@ -240,13 +228,11 @@ impl MobileComputer {
     /// [`Self::finish_timeline`] then reports `None`.
     // lint: hot-path
     fn timeline_tick(&mut self) {
+        let Some(mut tl) = self.timeline.take() else {
+            return;
+        };
         let now = self.clock.now();
-        match &self.timeline {
-            Some(tl) if tl.due(now) => {}
-            _ => return,
-        }
-        let mut tl = self.timeline.take().expect("checked above");
-        if tl.sample(now, |buf| self.fill_sample(buf)).is_ok() {
+        if !tl.due(now) || tl.sample(now, |buf| self.publish_metrics(buf)).is_ok() {
             self.timeline = Some(tl);
         }
     }

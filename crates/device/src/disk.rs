@@ -8,7 +8,7 @@
 
 use crate::error::DeviceError;
 use crate::Result;
-use ssmc_sim::obs::{EventKind, MetricsRegistry, Recorder, Span};
+use ssmc_sim::obs::{EventKind, MetricSink, Recorder, Span};
 use ssmc_sim::{EnergyLedger, Power, SharedClock, SimDuration};
 
 /// Static characteristics of a disk drive.
@@ -281,18 +281,17 @@ impl Disk {
         latency
     }
 
-    /// Publishes the drive counters and energy accounts into the registry
-    /// under `disk.*` names.
-    pub fn publish_metrics(&self, reg: &mut MetricsRegistry) {
+    /// The drive's metrics walk: the `disk.*` counters, then the energy
+    /// ledger (`energy.disk_total_nj`, plus the per-component accounts in
+    /// the registry).
+    pub fn publish_metrics(&self, sink: &mut impl MetricSink) {
         let c = self.counters;
-        reg.counter("disk.reads", c.reads);
-        reg.counter("disk.writes", c.writes);
-        reg.counter("disk.bytes", c.bytes);
-        reg.counter("disk.seek_time_ns", c.seek_time.as_nanos());
-        reg.counter("disk.spin_ups", c.spin_ups);
-        for (component, e) in self.energy.iter() {
-            reg.counter(&format!("energy.{component}_nj"), e.as_nanojoules());
-        }
+        sink.counter("disk.reads", c.reads);
+        sink.counter("disk.writes", c.writes);
+        sink.counter("disk.bytes", c.bytes);
+        sink.counter("disk.seek_time_ns", c.seek_time.as_nanos());
+        sink.counter("disk.spin_ups", c.spin_ups);
+        sink.energy_ledger("energy.disk_total_nj", "", &self.energy);
     }
 
     /// Reads `buf.len()` bytes at `addr`, spinning up first if necessary.

@@ -215,6 +215,14 @@ fn crate_deps_from_manifests(root: &Path) -> io::Result<graph::CrateDeps> {
     Ok(graph::CrateDeps::from_direct(&direct))
 }
 
+/// Whether `dir` roots a separate Cargo workspace (its manifest has a
+/// `[workspace]` table): such a package builds against the crates by path
+/// without joining this workspace, so it is not linted as part of it.
+fn is_own_workspace(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|m| m.lines().any(|l| l.trim() == "[workspace]"))
+}
+
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
@@ -222,7 +230,7 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Resu
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if SKIP_DIRS.contains(&name.as_ref()) || name.starts_with('.') {
+            if SKIP_DIRS.contains(&name.as_ref()) || name.starts_with('.') || is_own_workspace(&path) {
                 continue;
             }
             collect_rs_files(root, &path, out)?;
@@ -246,6 +254,18 @@ mod tests {
         assert_eq!(crate_for_path("src/lib.rs"), "ssmc");
         assert_eq!(crate_for_path("tests/determinism.rs"), "ssmc");
         assert_eq!(crate_for_path("examples/replay.rs"), "ssmc");
+    }
+
+    #[test]
+    fn nested_workspaces_are_not_walked() {
+        let dir = std::env::temp_dir().join(format!("ssmc-lint-ws-{}", std::process::id()));
+        fs::create_dir_all(&dir).expect("temp dir");
+        fs::write(dir.join("Cargo.toml"), "[package]\nname = \"x\"\n").expect("manifest");
+        assert!(!is_own_workspace(&dir), "a member package is walked");
+        fs::write(dir.join("Cargo.toml"), "[package]\nname = \"x\"\n\n[workspace]\n")
+            .expect("manifest");
+        assert!(is_own_workspace(&dir), "a separate workspace is skipped");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

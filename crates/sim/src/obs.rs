@@ -26,7 +26,7 @@
 //! allocates, and no `Box<dyn>` dispatch exists anywhere on the path — which
 //! preserves the allocation-free replay hot path.
 
-use crate::energy::Energy;
+use crate::energy::{Energy, EnergyLedger};
 use crate::report::{field, FromReport, ReportError, ToReport, Value};
 use crate::stats::{Histogram, TimeWeighted};
 use crate::time::SimTime;
@@ -624,26 +624,10 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Publishes a counter value.
-    pub fn counter(&mut self, name: &str, v: u64) {
-        self.entries.insert(name.to_owned(), Instrument::Counter(v));
-    }
-
-    /// Publishes a gauge level.
-    pub fn gauge(&mut self, name: &str, v: f64) {
-        self.entries.insert(name.to_owned(), Instrument::Gauge(v));
-    }
-
     /// Publishes a histogram.
     pub fn histogram(&mut self, name: &str, h: Histogram) {
         self.entries
             .insert(name.to_owned(), Instrument::Histogram(h));
-    }
-
-    /// Publishes a time-weighted level.
-    pub fn time_weighted(&mut self, name: &str, t: TimeWeighted) {
-        self.entries
-            .insert(name.to_owned(), Instrument::TimeWeighted(t));
     }
 
     /// Looks up an instrument by name.
@@ -680,6 +664,72 @@ impl MetricsRegistry {
     /// Iterates `(name, instrument)` in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Instrument)> {
         self.entries.iter().map(|(k, v)| (k.as_str(), v))
+    }
+}
+
+/// Where a layer's metrics walk writes.
+///
+/// Every layer has exactly one `publish_metrics` walk, generic over this
+/// trait, and the machine runs it into two sinks: the end-of-run
+/// [`MetricsRegistry`] and the timeline's
+/// [`SampleBuf`](crate::timeline::SampleBuf). The registry and the
+/// timeline therefore carry the same metric set by construction; the
+/// sinks differ only in what they keep per call, as documented on each
+/// method. Names are `&str` so a walk costs nothing to format — the one
+/// computed family (per-index names) goes through
+/// [`Self::indexed_counter`], which formats only when a sink needs the
+/// name.
+pub trait MetricSink {
+    /// A monotonically accumulated count.
+    fn counter(&mut self, name: &str, v: u64);
+
+    /// A point-in-time level.
+    fn gauge(&mut self, name: &str, v: f64);
+
+    /// A time-weighted level: the registry keeps the whole accumulator,
+    /// the timeline samples its current [`TimeWeighted::level`] (the
+    /// timeline itself is the time-weighting).
+    fn time_weighted(&mut self, name: &str, t: &TimeWeighted);
+
+    /// A device's energy ledger: the scalar total as counter `total`, and
+    /// — in the registry only — one `energy.{prefix}{component}_nj`
+    /// counter per ledger account. Accounts appear lazily on first
+    /// charge, so they cannot be fixed-width timeline channels.
+    fn energy_ledger(&mut self, total: &str, prefix: &str, ledger: &EnergyLedger);
+
+    /// Counter `{prefix}.{index:04}`, one of a per-index family (e.g.
+    /// per-segment wear). The name is formatted only by sinks that
+    /// record names.
+    fn indexed_counter(&mut self, prefix: &str, index: usize, v: u64);
+}
+
+impl MetricSink for MetricsRegistry {
+    fn counter(&mut self, name: &str, v: u64) {
+        self.entries.insert(name.to_owned(), Instrument::Counter(v));
+    }
+
+    fn gauge(&mut self, name: &str, v: f64) {
+        self.entries.insert(name.to_owned(), Instrument::Gauge(v));
+    }
+
+    fn time_weighted(&mut self, name: &str, t: &TimeWeighted) {
+        self.entries
+            .insert(name.to_owned(), Instrument::TimeWeighted(t.clone()));
+    }
+
+    fn energy_ledger(&mut self, total: &str, prefix: &str, ledger: &EnergyLedger) {
+        self.counter(total, ledger.total().as_nanojoules());
+        for (component, e) in ledger.iter() {
+            self.entries.insert(
+                format!("energy.{prefix}{component}_nj"),
+                Instrument::Counter(e.as_nanojoules()),
+            );
+        }
+    }
+
+    fn indexed_counter(&mut self, prefix: &str, index: usize, v: u64) {
+        self.entries
+            .insert(format!("{prefix}.{index:04}"), Instrument::Counter(v));
     }
 }
 
@@ -827,7 +877,7 @@ mod tests {
         reg.counter("storage.gc_runs", 17);
         reg.gauge("storage.write_amplification", 1.25);
         reg.histogram("machine.op_latency", h);
-        reg.time_weighted("storage.buffer_occupancy", tw);
+        reg.time_weighted("storage.buffer_occupancy", &tw);
 
         let bytes = reg.to_report().encode();
         let back = MetricsRegistry::from_report(&Value::decode(&bytes).expect("json"))
@@ -852,7 +902,7 @@ mod tests {
         reversed.time_weighted(
             "storage.buffer_occupancy",
             match back.get("storage.buffer_occupancy") {
-                Some(Instrument::TimeWeighted(t)) => t.clone(),
+                Some(Instrument::TimeWeighted(t)) => t,
                 _ => unreachable!(),
             },
         );

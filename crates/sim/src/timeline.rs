@@ -27,11 +27,14 @@
 //! Cost rules: a machine without a [`TimelineSink`] pays one not-taken
 //! branch per maintenance tick. With the sampler on, the steady state is
 //! allocation-free: channel names are materialised once at registration
-//! (the [`SampleBuf`] name closures never run in sampling mode), sample
-//! values land in a reused buffer, and rows stream through a fixed
-//! scratch row into a buffered writer — million-op runs never hold their
-//! samples in memory.
+//! (a sampling-mode [`SampleBuf`] ignores names, so nothing is formatted
+//! or copied), sample values land in a reused buffer, and rows stream
+//! through a fixed scratch row into a buffered writer — million-op runs
+//! never hold their samples in memory.
 
+use crate::energy::EnergyLedger;
+use crate::obs::MetricSink;
+use crate::stats::TimeWeighted;
 use crate::time::{SimDuration, SimTime};
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -96,8 +99,8 @@ pub struct Channel {
 
 /// The ordered channel set a machine samples. Built by running one
 /// registration pass ([`SampleBuf::registration`]) over the same
-/// `sample_timeline` code that later produces values — the schema and
-/// the samples cannot drift apart because they are the same walk.
+/// metrics walk that later produces values — the schema and the samples
+/// cannot drift apart because they are the same walk.
 #[derive(Debug, Clone, Default)]
 pub struct Schema {
     /// Channels in sampling order.
@@ -116,14 +119,14 @@ impl Schema {
     }
 }
 
-/// The dual-mode collector layers fill in `sample_timeline` methods.
+/// The timeline's [`MetricSink`]: the machine runs its one metrics walk
+/// into this buffer in two modes.
 ///
-/// In **registration** mode every `counter`/`gauge` call runs its name
-/// closure and records `(name, kind)`; in **sampling** mode the closure
-/// never runs — only the value is pushed, into a buffer reused across
-/// samples — so the steady-state sampler performs no allocation and no
-/// formatting. One code path serves both, which is what keeps the schema
-/// and the samples aligned by construction.
+/// In **registration** mode every call records `(name, kind)`; in
+/// **sampling** mode names are ignored and only the value is pushed,
+/// into a buffer reused across samples — so the steady-state sampler
+/// performs no allocation and no formatting. One walk serves both, which
+/// is what keeps the schema and the samples aligned by construction.
 #[derive(Debug)]
 pub struct SampleBuf {
     names: Option<Vec<Channel>>,
@@ -147,30 +150,14 @@ impl SampleBuf {
         }
     }
 
-    /// Records a counter channel. `name` is only invoked in registration
-    /// mode.
+    /// Pushes one value; in registration mode also records the channel,
+    /// whose name `name` materialises only then.
     #[inline]
-    pub fn counter(&mut self, name: impl FnOnce() -> String, v: u64) {
+    fn push(&mut self, name: impl FnOnce() -> String, kind: ChannelKind, v: u64) {
         if let Some(names) = &mut self.names {
-            names.push(Channel {
-                name: name(),
-                kind: ChannelKind::Counter,
-            });
+            names.push(Channel { name: name(), kind });
         }
         self.values.push(v);
-    }
-
-    /// Records a gauge channel (stored as `f64` bits). `name` is only
-    /// invoked in registration mode.
-    #[inline]
-    pub fn gauge(&mut self, name: impl FnOnce() -> String, v: f64) {
-        if let Some(names) = &mut self.names {
-            names.push(Channel {
-                name: name(),
-                kind: ChannelKind::Gauge,
-            });
-        }
-        self.values.push(v.to_bits());
     }
 
     /// Channels registered / values pushed so far.
@@ -195,6 +182,33 @@ impl SampleBuf {
         };
         schema.assert_unique();
         schema
+    }
+}
+
+impl MetricSink for SampleBuf {
+    #[inline]
+    fn counter(&mut self, name: &str, v: u64) {
+        self.push(|| name.to_owned(), ChannelKind::Counter, v);
+    }
+
+    #[inline]
+    fn gauge(&mut self, name: &str, v: f64) {
+        self.push(|| name.to_owned(), ChannelKind::Gauge, v.to_bits());
+    }
+
+    #[inline]
+    fn time_weighted(&mut self, name: &str, t: &TimeWeighted) {
+        self.gauge(name, t.level());
+    }
+
+    #[inline]
+    fn energy_ledger(&mut self, total: &str, _prefix: &str, ledger: &EnergyLedger) {
+        self.counter(total, ledger.total().as_nanojoules());
+    }
+
+    #[inline]
+    fn indexed_counter(&mut self, prefix: &str, index: usize, v: u64) {
+        self.push(|| format!("{prefix}.{index:04}"), ChannelKind::Counter, v);
     }
 }
 
@@ -604,8 +618,8 @@ mod tests {
     #[test]
     fn registration_and_sampling_share_one_walk() {
         let fill = |buf: &mut SampleBuf, gc: u64, amp: f64| {
-            buf.counter(|| "storage.gc_runs".to_owned(), gc);
-            buf.gauge(|| "storage.write_amplification".to_owned(), amp);
+            buf.counter("storage.gc_runs", gc);
+            buf.gauge("storage.write_amplification", amp);
         };
         let mut reg = SampleBuf::registration();
         fill(&mut reg, 0, 1.0);
@@ -637,7 +651,7 @@ mod tests {
     }
 
     #[test]
-    fn sample_closure_never_materialises_names() {
+    fn sampling_never_materialises_names() {
         let schema = schema(&[("x", ChannelKind::Counter)]);
         let mut sink = TimelineSink::new(
             Box::new(Cursor::new(Vec::new())),
@@ -647,7 +661,11 @@ mod tests {
         )
         .expect("sink");
         sink.sample(SimTime::ZERO, |buf| {
-            buf.counter(|| unreachable!("name closures must not run while sampling"), 1)
+            buf.push(
+                || unreachable!("names must not materialise while sampling"),
+                ChannelKind::Counter,
+                1,
+            )
         })
         .expect("sample");
     }
@@ -656,8 +674,8 @@ mod tests {
     #[should_panic(expected = "duplicate timeline channel")]
     fn duplicate_channel_names_are_rejected() {
         let mut reg = SampleBuf::registration();
-        reg.counter(|| "dup".to_owned(), 1);
-        reg.counter(|| "dup".to_owned(), 2);
+        reg.counter("dup", 1);
+        reg.counter("dup", 2);
         let _ = reg.into_schema();
     }
 

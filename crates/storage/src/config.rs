@@ -117,11 +117,6 @@ pub struct StorageConfig {
     /// `tick`. The crash-torture harness shrinks this so short replay
     /// windows still exercise the checkpoint write and recovery paths.
     pub checkpoint_interval: SimDuration,
-    /// Dense-slot bound of the page map: ids whose low 32 bits are below
-    /// this are tracked in flat per-window arrays (two array indexes per
-    /// lookup); the rest fall back to a sorted overflow map. The default
-    /// covers 32 MB of 512-byte pages per file window.
-    pub dense_map_pages: u64,
 }
 
 impl Default for StorageConfig {
@@ -143,7 +138,6 @@ impl Default for StorageConfig {
             max_utilization: 0.85,
             checkpointing: true,
             checkpoint_interval: SimDuration::from_secs(60),
-            dense_map_pages: crate::map::DEFAULT_DENSE_PAGES,
         }
     }
 }
@@ -181,10 +175,6 @@ impl StorageConfig {
         assert!(
             (0.0..=1.0).contains(&self.max_utilization),
             "utilisation must be a fraction"
-        );
-        assert!(
-            self.dense_map_pages > 0,
-            "the dense page-map bound must cover at least one slot"
         );
         assert!(
             self.checkpoint_interval > SimDuration::ZERO,

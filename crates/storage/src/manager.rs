@@ -26,8 +26,7 @@ use crate::recovery::RecoveryReport;
 use crate::segment::{SegState, SegmentTable, Slot, SlotMeta};
 use crate::Result;
 use ssmc_device::{DeviceError, Dram, Flash, TearMode};
-use ssmc_sim::obs::{EventKind, MetricsRegistry, Recorder, Span};
-use ssmc_sim::timeline::SampleBuf;
+use ssmc_sim::obs::{EventKind, MetricSink, Recorder, Span};
 use ssmc_sim::{Energy, EnergyLedger, SharedClock, SimDuration, SimTime};
 
 /// Which write head a segment is opened for.
@@ -199,7 +198,7 @@ impl StorageManager {
         let slots = cfg.slots_per_segment();
         StorageManager {
             buffer: WriteBuffer::new(buffer_frames),
-            map: PageMap::with_dense_pages(cfg.dense_map_pages),
+            map: PageMap::new(),
             pool,
             wear_spread: None,
             metrics: StorageMetrics::new(now),
@@ -262,18 +261,29 @@ impl StorageManager {
         self.recorder = recorder;
     }
 
-    /// Publishes storage metrics, flash counters/wear, and device energy
-    /// accounts into the unified registry.
-    pub fn publish_metrics(&self, reg: &mut MetricsRegistry) {
-        self.metrics.publish(reg);
-        reg.gauge("storage.gc_efficiency", self.gc_efficiency());
-        reg.gauge(
+    /// The storage layer's metrics walk: every [`StorageMetrics`] signal,
+    /// GC efficiency, data at risk and segment-state occupancy, the flash
+    /// device below, the DRAM energy ledger, and one wear counter per
+    /// segment — the raw material for the per-segment wear heatmap.
+    pub fn publish_metrics(&self, sink: &mut impl MetricSink) {
+        self.metrics.publish(sink);
+        sink.gauge("storage.gc_efficiency", self.gc_efficiency());
+        sink.gauge(
             "storage.data_at_risk_bytes",
             self.data_at_risk_bytes() as f64,
         );
-        self.flash.publish_metrics(reg);
-        for (component, e) in self.dram.energy().iter() {
-            reg.counter(&format!("energy.{component}_nj"), e.as_nanojoules());
+        sink.counter("storage.free_segments", self.table.free_count() as u64);
+        sink.counter(
+            "storage.retired_segments",
+            self.table.retired_count() as u64,
+        );
+        self.flash.publish_metrics(sink);
+        sink.energy_ledger("energy.dram_total_nj", "", self.dram.energy());
+        for seg in 0..self.table.len() {
+            let erases = self
+                .flash
+                .erase_count(self.flash.block_of(self.table.block_addr(seg)));
+            sink.indexed_counter("storage.segment_wear", seg, erases);
         }
     }
 
@@ -290,42 +300,6 @@ impl StorageManager {
         }
         let reclaimed = (runs * self.cfg.slots_per_segment() as u64) as f64;
         (1.0 - self.metrics.gc_flash_pages as f64 / reclaimed).max(0.0)
-    }
-
-    /// Timeline channels for the storage layer: every [`StorageMetrics`]
-    /// signal, GC efficiency and segment-state occupancy, the flash
-    /// device channels, the scalar DRAM energy total (per-component
-    /// ledger entries appear lazily and cannot be fixed-width channels),
-    /// and one wear counter per segment — the raw material for the
-    /// per-segment wear heatmap. Name closures only run during the
-    /// registration pass, so steady-state sampling neither formats nor
-    /// allocates.
-    pub fn sample_timeline(&self, buf: &mut SampleBuf) {
-        self.metrics.sample_timeline(buf);
-        buf.gauge(|| "storage.gc_efficiency".into(), self.gc_efficiency());
-        buf.gauge(
-            || "storage.data_at_risk_bytes".into(),
-            self.data_at_risk_bytes() as f64,
-        );
-        buf.counter(
-            || "storage.free_segments".into(),
-            self.table.free_count() as u64,
-        );
-        buf.counter(
-            || "storage.retired_segments".into(),
-            self.table.retired_count() as u64,
-        );
-        self.flash.sample_timeline(buf);
-        buf.counter(
-            || "energy.dram_total_nj".into(),
-            self.dram.energy().total().as_nanojoules(),
-        );
-        for seg in 0..self.table.len() {
-            let erases = self
-                .flash
-                .erase_count(self.flash.block_of(self.table.block_addr(seg)));
-            buf.counter(|| format!("storage.segment_wear.{seg:04}"), erases);
-        }
     }
 
     /// Flash energy drawn so far — sampled around flush/GC spans so their
@@ -460,7 +434,7 @@ impl StorageManager {
             if had.is_none() && !self.has_capacity_for(1) {
                 return Err(StorageError::NoSpace);
             }
-            self.flush_data_to_flash(page, data, had)?;
+            self.flush_data_to_flash(page, data)?;
             self.metrics.user_flash_pages += 1;
             return Ok(());
         }
@@ -573,22 +547,7 @@ impl StorageManager {
             self.cfg.page_size,
             "read_page takes exactly one page"
         );
-        self.check_alive()?;
-        match self.map.get(page) {
-            Some(Location::Dram(frame)) => {
-                self.dram.read(self.frame_addr(frame), buf)?;
-                self.metrics.reads_from_dram += 1;
-            }
-            Some(Location::Flash(addr)) => {
-                self.flash.read(addr, buf)?;
-                self.metrics.reads_from_flash += 1;
-            }
-            None => {
-                buf.fill(0);
-                self.metrics.hole_reads += 1;
-            }
-        }
-        Ok(())
+        self.read_page_slice(page, 0, buf)
     }
 
     /// Reads one page without a staging copy: charges exactly what
@@ -889,7 +848,7 @@ impl StorageManager {
                     // the copying path.
                     let mut data = self.pool.take();
                     let r = match self.dram.read(frame_addr, &mut data) {
-                        Ok(_) => self.flush_inplace(page, &data, self.map.get(page)),
+                        Ok(_) => self.flush_inplace(page, &data),
                         Err(e) => Err(e.into()),
                     };
                     self.pool.put(data);
@@ -919,12 +878,7 @@ impl StorageManager {
     /// Places one page's bytes on flash (log append or in-place RMW) and
     /// updates the map.
     // lint: hot-path
-    fn flush_data_to_flash(
-        &mut self,
-        page: PageId,
-        data: &[u8],
-        old: Option<Location>,
-    ) -> Result<()> {
+    fn flush_data_to_flash(&mut self, page: PageId, data: &[u8]) -> Result<()> {
         match self.cfg.placement {
             Placement::LogStructured => {
                 let seq = self.map.next_seq();
@@ -933,9 +887,9 @@ impl StorageManager {
                 self.ckpt.mark_dirtied(seg);
                 self.flash.program_async(addr, data)?;
                 // Kill the previous durable copy only now that its
-                // replacement is on flash, and re-read its location: GC
-                // under `append_slot` may have relocated the old slot
-                // (and updated the map) since the caller sampled `old`.
+                // replacement is on flash, reading its location after
+                // `append_slot`: GC there may have relocated the old slot
+                // (and updated the map).
                 let prev = self.map.get(page);
                 self.map.set(page, Location::Flash(addr));
                 if let Some(Location::Flash(prev_addr)) = prev {
@@ -943,19 +897,18 @@ impl StorageManager {
                 }
                 Ok(())
             }
-            Placement::InPlace => self.flush_inplace(page, data, old),
+            Placement::InPlace => self.flush_inplace(page, data),
         }
     }
 
     /// In-place placement: each page has a fixed home; rewriting it means
     /// erase-block read-modify-write.
-    fn flush_inplace(&mut self, page: PageId, data: &[u8], old: Option<Location>) -> Result<()> {
+    fn flush_inplace(&mut self, page: PageId, data: &[u8]) -> Result<()> {
         let base = RESERVED_BLOCKS as u64 * self.cfg.flash.block_bytes;
         let home = base + page * self.cfg.page_size;
         if home + self.cfg.page_size > self.flash.capacity() {
             return Err(StorageError::NoSpace);
         }
-        let _ = old;
         if self.flash.is_erased(home, self.cfg.page_size) {
             self.flash.program_async(home, data)?;
             self.map.set(page, Location::Flash(home));

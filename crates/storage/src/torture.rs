@@ -30,7 +30,7 @@ use crate::map::PageId;
 use crate::recovery::RecoveryReport;
 use crate::StorageError;
 use ssmc_device::TearMode;
-use ssmc_sim::obs::MetricsRegistry;
+use ssmc_sim::obs::MetricSink;
 use ssmc_sim::{Clock, SimDuration, SimRng};
 use std::collections::BTreeMap;
 
@@ -312,9 +312,9 @@ impl TortureSummary {
     }
 
     /// Publishes `torture.cuts_total` / `torture.failures`.
-    pub fn publish(&self, reg: &mut MetricsRegistry) {
-        reg.counter("torture.cuts_total", self.cuts_total);
-        reg.counter("torture.failures", self.failures);
+    pub fn publish(&self, sink: &mut impl MetricSink) {
+        sink.counter("torture.cuts_total", self.cuts_total);
+        sink.counter("torture.failures", self.failures);
     }
 }
 
@@ -545,7 +545,7 @@ mod tests {
 
     #[test]
     fn summary_publishes_counters() {
-        let mut reg = MetricsRegistry::new();
+        let mut reg = ssmc_sim::obs::MetricsRegistry::new();
         let s = TortureSummary {
             cuts_total: 42,
             failures: 1,

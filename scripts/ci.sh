@@ -9,6 +9,12 @@ set -eu
 RUSTFLAGS="-D warnings" cargo build --release --offline
 cargo test -q --offline --workspace
 
+# The benchmark (perfbench/, its own Cargo workspace) builds against the
+# crates' public APIs by path; its tests compile it, so a refactor that
+# breaks an API the benchmark uses fails here rather than in a
+# benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Invariant linter: per-file rules plus the interprocedural passes —
 # workspace call graph, transitive hot-path allocation (H2), panic
 # reachability (P1), unit-suffix consistency (U2), and energy

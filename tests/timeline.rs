@@ -1,16 +1,15 @@
 //! Timeline flight-recorder guarantees the observability stack rests on:
 //!
-//! * every registry instrument the machine publishes has a same-named
-//!   timeline channel, and the sealed final row equals the end-of-run
-//!   registry values (the `.tl` is a faithful time-resolved superset of
-//!   the end-of-run snapshot);
+//! * the registry and the timeline carry the same metric set (they are
+//!   one walk into two sinks), and the sealed final row equals the
+//!   end-of-run registry values;
 //! * fixed-seed timelines are byte-identical across repeats and across
 //!   `--threads` settings (the sampler stamps SimTime only);
 //! * `obs-diff` reports an empty diff when a run is compared against
 //!   itself, and a non-empty one across genuinely different runs.
 
 use ssmc::sim::obs::Instrument;
-use ssmc::sim::timeline::{ChannelKind, Timeline};
+use ssmc::sim::timeline::{ChannelKind, Timeline, TICK_CHANNEL};
 use ssmc::sim::{set_threads, SimDuration};
 use ssmc::trace::{GeneratorConfig, Workload};
 use ssmc_bench::obs_diff::{diff, DiffInput, DiffOptions};
@@ -22,12 +21,14 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ssmc_tl_test_{}_{name}", std::process::id()))
 }
 
-/// Every instrument the machine's registry publishes must be sampled
-/// into a same-named channel — except the lazily-populated per-component
-/// `energy.*` ledger entries, which would change the channel count
-/// mid-run and are represented by the per-device `energy.*_total_nj`
-/// channels instead. Counters must agree exactly with the sealed final
-/// row; kinds must map Counter→Counter and Gauge/TimeWeighted→Gauge.
+/// The registry and the timeline come from one metrics walk, so their
+/// metric sets must match in both directions: every timeline channel
+/// except `timeline.tick` has a same-named registry instrument, and every
+/// registry instrument except the lazily-populated per-component
+/// `energy.*_nj` ledger accounts has a channel. Values must agree with
+/// the sealed final row; kinds must map Counter→Counter and
+/// Gauge/TimeWeighted→Gauge (a time-weighted instrument samples its
+/// current level).
 #[test]
 fn final_row_matches_end_of_run_registry() {
     let trace = GeneratorConfig::new(Workload::Bsd)
@@ -55,17 +56,18 @@ fn final_row_matches_end_of_run_registry() {
     assert!(tl.rows() > 10, "50 ms sampling must yield many rows");
 
     let last = tl.rows() - 1;
-    for (name, instrument) in registry.iter() {
-        if name.starts_with("energy.") {
+    // Timeline → registry: every channel but the tick, with its final value.
+    for (ch, channel) in tl.channels().iter().enumerate() {
+        let name = channel.name.as_str();
+        if name == TICK_CHANNEL {
             continue;
         }
-        let ch = tl
-            .channel_index(name)
-            .unwrap_or_else(|| panic!("registry instrument {name} has no timeline channel"));
-        let kind = tl.channels()[ch].kind;
+        let instrument = registry
+            .get(name)
+            .unwrap_or_else(|| panic!("timeline channel {name} has no registry instrument"));
         match instrument {
             Instrument::Counter(v) => {
-                assert_eq!(kind, ChannelKind::Counter, "{name} kind");
+                assert_eq!(channel.kind, ChannelKind::Counter, "{name} kind");
                 assert_eq!(
                     tl.value(last, ch),
                     *v,
@@ -73,27 +75,36 @@ fn final_row_matches_end_of_run_registry() {
                 );
             }
             Instrument::Gauge(v) => {
-                assert_eq!(kind, ChannelKind::Gauge, "{name} kind");
+                assert_eq!(channel.kind, ChannelKind::Gauge, "{name} kind");
                 let got = tl.gauge(last, ch);
                 assert!(
                     got == *v || (got.is_nan() && v.is_nan()),
                     "{name}: final gauge {got} != registry {v}"
                 );
             }
-            Instrument::TimeWeighted(_) => {
-                assert_eq!(kind, ChannelKind::Gauge, "{name} samples as a level gauge");
+            Instrument::TimeWeighted(t) => {
+                assert_eq!(channel.kind, ChannelKind::Gauge, "{name} samples as a level gauge");
+                assert_eq!(tl.gauge(last, ch), t.level(), "{name}: final level diverged");
             }
             Instrument::Histogram(_) => {
                 unreachable!("the machine registry publishes no histograms; {name} is new")
             }
         }
     }
-    // The per-device energy totals stand in for the lazy ledger entries.
-    for name in ["energy.flash_total_nj", "energy.dram_total_nj", "energy.vm_total_nj"] {
-        assert!(tl.channel_index(name).is_some(), "{name} channel missing");
+    // Registry → timeline: everything but the per-component ledger
+    // accounts, whose scalar `energy.*_total_nj` totals are channels.
+    for (name, _) in registry.iter() {
+        let ledger_account =
+            name.starts_with("energy.") && name.ends_with("_nj") && !name.ends_with("_total_nj");
+        if ledger_account {
+            continue;
+        }
+        assert!(
+            tl.channel_index(name).is_some(),
+            "registry instrument {name} has no timeline channel"
+        );
     }
-    // Timeline-only channels the registry does not carry.
-    for name in ["timeline.tick", "battery.remaining_j", "storage.free_segments"] {
+    for name in ["energy.flash_total_nj", "energy.dram_total_nj", "energy.vm_total_nj"] {
         assert!(tl.channel_index(name).is_some(), "{name} channel missing");
     }
     assert!(
