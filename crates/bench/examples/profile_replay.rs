@@ -121,9 +121,11 @@ fn main() {
     // Host-time breakdown per op kind, unbatched vs batched. Both passes
     // put an `Instant` pair around each submission, so the per-op timer
     // overhead lands once per op on the unbatched column but is amortised
-    // over the whole batch on the batched one — the same asymmetry the
-    // real drivers have, since batching exists to amortise per-submission
-    // host cost.
+    // over the whole batch on the batched one. The machine's batch path
+    // submits each record through the same `apply_at` rule as the
+    // unbatched loop and hoists no host work, so any gap between the
+    // columns is per-submission overhead: the timer pair and the
+    // driver-side dispatch.
     let kind_idx = |k: OpKind| OpKind::ALL.iter().position(|&x| x == k).expect("known kind");
 
     // Unbatched: the classic per-record replay loop, timed per apply.

@@ -14,8 +14,9 @@ use ssmc_sim::obs::{EventKind, MetricSink, MetricsRegistry, Recorder, Span};
 use ssmc_sim::timeline::{SampleBuf, Schema, SeekWrite, TimelineSink, TimelineSummary};
 use ssmc_sim::{Clock, Energy, SharedClock, SimDuration, SimTime};
 use ssmc_storage::{DenseIndex, RecoveryReport, StorageManager};
-use ssmc_trace::{BatchTarget, FileId, FileOp, TraceRecord, TraceTarget, BATCH_ERROR};
+use ssmc_trace::{apply_at, BatchTarget, FileId, FileOp, TraceRecord, TraceTarget};
 use ssmc_vm::{launch, LaunchStats, Vm, VmConfig, VmError};
+use std::rc::Rc;
 
 /// The solid-state mobile computer.
 #[derive(Debug)]
@@ -451,91 +452,16 @@ impl MobileComputer {
 }
 
 impl MobileComputer {
-    /// Batched per-record loop for targets of any shape: advances the
-    /// clock to each arrival, applies through [`TraceTarget::apply`]
-    /// (spans and all), and records simulated latency or the error
-    /// sentinel.
+    /// Submits each record through [`apply_at`] — arrival advance,
+    /// [`TraceTarget::apply`] (maintenance, spans and all), and simulated
+    /// latency or the error sentinel — exactly as per-record replay does.
     // lint: hot-path
     fn batch_fallback(&mut self, records: &[TraceRecord], latencies: &mut [SimDuration]) {
+        // A second handle on the clock, because `apply_at` borrows `self`
+        // mutably; a refcount bump, no allocation.
+        let clock = Rc::clone(&self.clock);
         for (r, lat) in records.iter().zip(latencies.iter_mut()) {
-            self.clock.advance_to(r.at);
-            let t0 = self.clock.now();
-            *lat = match TraceTarget::apply(self, &r.op) {
-                Ok(()) => self.clock.now().since(t0),
-                Err(_) => BATCH_ERROR,
-            };
-        }
-    }
-
-    /// A coalesced run of writes to one file: the descriptor is resolved
-    /// once it is known and the payload scratch is grown once, but every
-    /// record still gets its own arrival advance, maintenance tick, and
-    /// file-system call — the simulated sequence is exactly the unbatched
-    /// one.
-    // lint: hot-path
-    fn batch_writes(&mut self, file: FileId, records: &[TraceRecord], latencies: &mut [SimDuration]) {
-        let mut max_len = 0usize;
-        for r in records {
-            if let FileOp::Write { len, .. } = r.op {
-                max_len = max_len.max(len as usize);
-            }
-        }
-        if self.write_scratch.len() < max_len {
-            self.write_scratch.resize(max_len, 0xA5);
-        }
-        let mut fd = None;
-        for (r, lat) in records.iter().zip(latencies.iter_mut()) {
-            self.clock.advance_to(r.at);
-            let t0 = self.clock.now();
-            self.maintain();
-            let FileOp::Write { offset, len, .. } = r.op else {
-                unreachable!("driver coalesces only one kind per batch");
-            };
-            let res = match fd {
-                Some(fd) => self.fs.write(fd, offset, &self.write_scratch[..len as usize]),
-                None => match self.trace_fd(file) {
-                    Ok(f) => {
-                        fd = Some(f);
-                        self.fs.write(f, offset, &self.write_scratch[..len as usize])
-                    }
-                    Err(e) => Err(e),
-                },
-            };
-            *lat = if res.is_ok() {
-                self.clock.now().since(t0)
-            } else {
-                BATCH_ERROR
-            };
-        }
-    }
-
-    /// A coalesced run of reads from one file; same contract as
-    /// [`Self::batch_writes`].
-    // lint: hot-path
-    fn batch_reads(&mut self, file: FileId, records: &[TraceRecord], latencies: &mut [SimDuration]) {
-        let mut fd = None;
-        for (r, lat) in records.iter().zip(latencies.iter_mut()) {
-            self.clock.advance_to(r.at);
-            let t0 = self.clock.now();
-            self.maintain();
-            let FileOp::Read { offset, len, .. } = r.op else {
-                unreachable!("driver coalesces only one kind per batch");
-            };
-            let res = match fd {
-                Some(fd) => self.fs.read_discard(fd, offset, len).map(|_| ()),
-                None => match self.trace_fd(file) {
-                    Ok(f) => {
-                        fd = Some(f);
-                        self.fs.read_discard(f, offset, len).map(|_| ())
-                    }
-                    Err(e) => Err(e),
-                },
-            };
-            *lat = if res.is_ok() {
-                self.clock.now().since(t0)
-            } else {
-                BATCH_ERROR
-            };
+            *lat = apply_at(self, r, &clock);
         }
     }
 }
@@ -548,46 +474,32 @@ impl BatchTarget for MobileComputer {
         self.replay_batch_ops += records.len() as u64;
         if records.len() > 1 {
             self.replay_coalesced_ops += records.len() as u64;
-            if !self.recorder.is_enabled() {
-                // The driver only coalesces one data kind on one file, so
-                // the run shape is known from its first record.
-                match records[0].op {
-                    FileOp::Write { file, .. } => {
-                        return self.batch_writes(file, records, latencies);
-                    }
-                    FileOp::Read { file, .. } => {
-                        return self.batch_reads(file, records, latencies);
-                    }
-                    _ => {}
-                }
-            } else {
-                // Traced batched replay: the fallback emits every per-op
-                // root span, and one batch root span on top attributes
-                // the coalesced run (`pages` = coalesced-op count). Zero
-                // energy on purpose — the per-op roots underneath already
-                // carry the whole-machine deltas.
-                let start = self.clock.now();
-                let mut bytes = 0u64;
-                for r in records {
-                    if let FileOp::Write { len, .. } | FileOp::Read { len, .. } = r.op {
-                        bytes += len;
-                    }
-                }
-                self.batch_fallback(records, latencies);
-                let end = self.clock.now();
-                let n = records.len() as u64;
-                self.recorder.emit(|| Span {
-                    kind: EventKind::TraceBatch,
-                    start,
-                    end,
-                    energy: Energy::ZERO,
-                    pages: n,
-                    bytes,
-                });
-                return;
+        }
+        if records.len() == 1 || !self.recorder.is_enabled() {
+            return self.batch_fallback(records, latencies);
+        }
+        // Traced batched replay: every per-op root span is emitted as
+        // usual, and one batch root span on top attributes the coalesced
+        // run (`pages` = coalesced-op count). Zero energy on purpose — the
+        // per-op roots underneath already carry the whole-machine deltas.
+        let start = self.clock.now();
+        let mut bytes = 0u64;
+        for r in records {
+            if let FileOp::Write { len, .. } | FileOp::Read { len, .. } = r.op {
+                bytes += len;
             }
         }
         self.batch_fallback(records, latencies);
+        let end = self.clock.now();
+        let n = records.len() as u64;
+        self.recorder.emit(|| Span {
+            kind: EventKind::TraceBatch,
+            start,
+            end,
+            energy: Energy::ZERO,
+            pages: n,
+            bytes,
+        });
     }
 }
 
@@ -709,13 +621,9 @@ impl TraceTarget for DiskComputer {
 impl BatchTarget for DiskComputer {
     fn apply_batch(&mut self, records: &[TraceRecord], latencies: &mut [SimDuration]) {
         assert_eq!(records.len(), latencies.len(), "latency slot per record");
+        let clock = Rc::clone(&self.clock);
         for (r, lat) in records.iter().zip(latencies.iter_mut()) {
-            self.clock.advance_to(r.at);
-            let t0 = self.clock.now();
-            *lat = match TraceTarget::apply(self, &r.op) {
-                Ok(()) => self.clock.now().since(t0),
-                Err(_) => BATCH_ERROR,
-            };
+            *lat = apply_at(self, r, &clock);
         }
     }
 }

@@ -1642,6 +1642,48 @@ mod tests {
         let t2 = f.stat("/clock").expect("stat").mtime_ns;
         assert!(t2 >= t1 + 5_000_000_000);
     }
+
+    /// `read_discard` promises to charge exactly what `read` into a
+    /// `len`-byte buffer charges. Pinned over whole-page, sub-page,
+    /// hole-crossing, EOF-clipped, past-EOF and empty reads of a file
+    /// whose pages sit on flash, in DRAM, and nowhere (holes).
+    #[test]
+    fn read_discard_charges_exactly_what_read_charges() {
+        let setup = || {
+            let mut f = fs();
+            let fd = f.create("/mixed").expect("create");
+            f.write(fd, 0, &[0x11; 1536]).expect("write flash pages");
+            f.sync().expect("sync");
+            // Pages 3..6 stay holes; page 6 sits dirty in DRAM.
+            f.write(fd, 3072, &[0x22; 700]).expect("write dram page");
+            (f, fd)
+        };
+        let charged = |f: &MemFs| {
+            let sm = f.storage();
+            format!(
+                "{:?} {:?} {:?} {:?} {:?} {:?}",
+                sm.now(),
+                f.metrics(),
+                sm.metrics(),
+                sm.flash().counters(),
+                sm.dram().counters(),
+                sm.energy_total(),
+            )
+        };
+        let (mut copied, fd1) = setup();
+        let (mut discarded, fd2) = setup();
+        for (offset, len) in [(0, 1536), (100, 2000), (3000, 5000), (10_000, 10), (512, 0)] {
+            let mut buf = vec![0u8; len as usize];
+            let n1 = copied.read(fd1, offset, &mut buf).expect("read");
+            let n2 = discarded.read_discard(fd2, offset, len).expect("discard");
+            assert_eq!(n2, n1, "bytes read at {offset}+{len}");
+            assert_eq!(
+                charged(&discarded),
+                charged(&copied),
+                "charges diverged after {offset}+{len}"
+            );
+        }
+    }
 }
 
 #[cfg(test)]

@@ -14,8 +14,7 @@
 //!   generators need (exponential, log-normal, Pareto, Zipf).
 //! * [`stats`] — online statistics, histograms, and time-weighted averages.
 //! * [`EnergyLedger`] — named per-component energy accounting.
-//! * [`series`] — labeled result series and text-table rendering used by the
-//!   experiment harness.
+//! * [`series`] — text-table rendering used by the experiment harness.
 //! * [`report`] — in-tree JSON value model and the [`ToReport`] /
 //!   [`FromReport`] serialization traits (no external crates).
 //! * [`par`] — deterministic order-preserving parallel sweep runner.
@@ -47,7 +46,7 @@ pub use obs::{
 pub use par::{parallel_sweep, set_threads, threads};
 pub use report::{field, FromReport, ReportError, ToReport, Value};
 pub use rng::SimRng;
-pub use series::{Cell, Series, Table};
+pub use series::{Cell, Table};
 pub use stats::{Histogram, OnlineStats, TimeWeighted};
 pub use time::{SimDuration, SimTime};
 pub use timeline::{

@@ -257,10 +257,15 @@ impl WriteBuffer {
         }
     }
 
-    /// Walks the LRW list coldest-first, appending up to `limit` pages
-    /// with `last_write <= cutoff` (`SimTime::MAX` disables the cutoff)
-    /// to `out`. The workhorse behind every flush-candidate query; does
-    /// not allocate beyond `out`'s existing capacity.
+    /// Walks the LRW list coldest-first, appending pages with
+    /// `last_write <= cutoff` (`SimTime::MAX` disables the cutoff) to
+    /// `out` until it holds `limit` entries. The one flush-candidate
+    /// query — age-based, coldest-k and whole-buffer alike; does not
+    /// allocate beyond `out`'s existing capacity.
+    ///
+    /// The LRW list, not the frame slab, sets the order, so it is
+    /// deterministic: flushes land on flash in the same order on every
+    /// run, which fixed-seed reproducibility depends on.
     // lint: hot-path
     pub fn colder_than_into(&self, cutoff: SimTime, limit: usize, out: &mut Vec<PageId>) {
         let mut cur = self.head;
@@ -272,44 +277,6 @@ impl WriteBuffer {
             out.push(m.page);
             cur = m.next;
         }
-    }
-
-    /// Pages whose last write is at or before `cutoff`, coldest first,
-    /// up to `limit`.
-    pub fn colder_than(&self, cutoff: SimTime, limit: usize) -> Vec<PageId> {
-        let mut out = Vec::new();
-        self.colder_than_into(cutoff, limit, &mut out);
-        out
-    }
-
-    /// Appends up to `k` coldest pages (regardless of age) to `out`.
-    // lint: hot-path
-    pub fn coldest_k_into(&self, k: usize, out: &mut Vec<PageId>) {
-        self.colder_than_into(SimTime::MAX, k, out);
-    }
-
-    /// Up to `k` coldest pages regardless of age.
-    pub fn coldest_k(&self, k: usize) -> Vec<PageId> {
-        let mut out = Vec::new();
-        self.coldest_k_into(k, &mut out);
-        out
-    }
-
-    /// Appends every buffered page, coldest first, to `out`.
-    ///
-    /// Walks the LRW list rather than the frame slab so the order is
-    /// deterministic: sync-time flushes land on flash in the same order
-    /// on every run, which fixed-seed reproducibility depends on.
-    // lint: hot-path
-    pub fn pages_into(&self, out: &mut Vec<PageId>) {
-        self.colder_than_into(SimTime::MAX, usize::MAX, out);
-    }
-
-    /// All buffered pages, coldest (least recently written) first.
-    pub fn pages(&self) -> Vec<PageId> {
-        let mut out = Vec::new();
-        self.pages_into(&mut out);
-        out
     }
 
     /// Drops every entry without returning frames individually (battery
@@ -331,6 +298,17 @@ mod tests {
 
     fn t(s: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(s)
+    }
+
+    fn colder(b: &WriteBuffer, cutoff: SimTime, limit: usize) -> Vec<PageId> {
+        let mut out = Vec::new();
+        b.colder_than_into(cutoff, limit, &mut out);
+        out
+    }
+
+    /// Every buffered page, coldest first.
+    fn pages(b: &WriteBuffer) -> Vec<PageId> {
+        colder(b, SimTime::MAX, usize::MAX)
     }
 
     #[test]
@@ -363,7 +341,7 @@ mod tests {
         // Rewriting page 1 makes page 2 the coldest.
         b.touch(1, t(3));
         assert_eq!(b.coldest(), Some(2));
-        assert_eq!(b.coldest_k(2), vec![2, 3]);
+        assert_eq!(colder(&b, SimTime::MAX, 2), vec![2, 3]);
     }
 
     #[test]
@@ -372,9 +350,9 @@ mod tests {
         for (p, s) in [(1, 0), (2, 10), (3, 20), (4, 30)] {
             b.insert(p, t(s));
         }
-        assert_eq!(b.colder_than(t(20), 10), vec![1, 2, 3]);
-        assert_eq!(b.colder_than(t(20), 2), vec![1, 2]);
-        assert!(b.colder_than(SimTime::ZERO, 10).len() <= 1);
+        assert_eq!(colder(&b, t(20), 10), vec![1, 2, 3]);
+        assert_eq!(colder(&b, t(20), 2), vec![1, 2]);
+        assert!(colder(&b, SimTime::ZERO, 10).len() <= 1);
     }
 
     #[test]
@@ -418,16 +396,16 @@ mod tests {
     }
 
     #[test]
-    fn into_variants_append_without_reordering() {
+    fn colder_than_into_appends_without_reordering() {
         let mut b = WriteBuffer::new(4);
         for (p, s) in [(7, 0), (8, 5), (9, 9)] {
             b.insert(p, t(s));
         }
         let mut out = vec![999];
-        b.pages_into(&mut out);
+        b.colder_than_into(SimTime::MAX, usize::MAX, &mut out);
         assert_eq!(out, vec![999, 7, 8, 9]);
         out.clear();
-        b.coldest_k_into(2, &mut out);
+        b.colder_than_into(SimTime::MAX, 2, &mut out);
         assert_eq!(out, vec![7, 8]);
     }
 
@@ -438,11 +416,11 @@ mod tests {
         b.insert(2, t(1));
         b.insert(3, t(2));
         b.remove(2);
-        assert_eq!(b.pages(), vec![1, 3]);
+        assert_eq!(pages(&b), vec![1, 3]);
         b.remove(1);
-        assert_eq!(b.pages(), vec![3]);
+        assert_eq!(pages(&b), vec![3]);
         b.remove(3);
-        assert!(b.pages().is_empty());
+        assert!(pages(&b).is_empty());
         assert_eq!(b.coldest(), None);
     }
 
@@ -480,6 +458,6 @@ mod tests {
         b.insert(5, t(1));
         b.insert(3, t(1));
         b.insert(4, t(1));
-        assert_eq!(b.pages(), vec![5, 3, 4]);
+        assert_eq!(pages(&b), vec![5, 3, 4]);
     }
 }

@@ -124,7 +124,9 @@ mod tests {
     fn fully_dead_segment_is_free_lunch() {
         let mut tb = setup();
         // Kill everything in segment 0.
-        for (slot, _) in tb.seg(0).live_slots() {
+        let mut live = Vec::new();
+        tb.seg(0).live_slots_into(&mut live);
+        for (slot, _) in live {
             let addr = tb.slot_addr(0, slot);
             tb.kill_at(addr);
         }

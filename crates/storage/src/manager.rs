@@ -314,6 +314,23 @@ impl StorageManager {
         }
     }
 
+    /// Emits a storage span that moved `pages` pages of flash since
+    /// `start`, carrying the flash energy drawn since the
+    /// [`Self::span_energy_mark`] `e0`. The span is built only when the
+    /// recorder is enabled.
+    fn emit_flash_span(&self, kind: EventKind, start: SimTime, e0: Energy, pages: u64) {
+        self.recorder.emit(|| Span {
+            kind,
+            start,
+            end: self.clock.now(),
+            energy: Energy::from_nanojoules(
+                self.flash.total_energy().as_nanojoules() - e0.as_nanojoules(),
+            ),
+            pages,
+            bytes: pages * self.cfg.page_size,
+        });
+    }
+
     /// Pages the manager can hold (live data), after utilisation and
     /// wear-retirement limits.
     pub fn page_capacity(&self) -> u64 {
@@ -563,16 +580,45 @@ impl StorageManager {
     /// propagated device error.
     // lint: hot-path
     pub fn read_page_ref(&mut self, page: PageId) -> Result<Option<&[u8]>> {
+        self.read_range(page, 0, self.cfg.page_size)
+    }
+
+    /// Batch entry point for replay-style reads whose data nobody
+    /// inspects: charges `count` consecutive pages exactly as
+    /// [`Self::read_page_ref`] of each would — device clock, counters,
+    /// energy, and hit metrics, in the same order — with one call per
+    /// batch, and the borrows dropped unread.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::Crashed`] after an unrecovered battery death, or a
+    /// propagated device error.
+    // lint: hot-path
+    pub fn read_pages_discard(&mut self, first: PageId, count: u64) -> Result<()> {
+        for page in first..first + count {
+            self.read_range(page, 0, self.cfg.page_size)?;
+        }
+        Ok(())
+    }
+
+    /// The one page-read dispatch behind every read entry point: charges
+    /// a `len`-byte device read at `offset` within `page`'s current copy
+    /// and counts the hit, returning a borrow of the bytes. `None` means
+    /// the page is a hole (all zeros); the hole read is still counted.
+    /// The devices charge `read_borrow` exactly as they charge `read`.
+    // lint: hot-path
+    fn read_range(&mut self, page: PageId, offset: u64, len: u64) -> Result<Option<&[u8]>> {
         self.check_alive()?;
-        let ps = self.cfg.page_size;
         match self.map.get(page) {
             Some(Location::Dram(frame)) => {
-                let data = self.dram.read_borrow(self.frame_addr(frame), ps)?;
+                let data = self
+                    .dram
+                    .read_borrow(self.frame_addr(frame) + offset, len)?;
                 self.metrics.reads_from_dram += 1;
                 Ok(Some(data))
             }
             Some(Location::Flash(addr)) => {
-                let data = self.flash.read_borrow(addr, ps)?;
+                let data = self.flash.read_borrow(addr + offset, len)?;
                 self.metrics.reads_from_flash += 1;
                 Ok(Some(data))
             }
@@ -581,36 +627,6 @@ impl StorageManager {
                 Ok(None)
             }
         }
-    }
-
-    /// Batch entry point for replay-style reads whose data nobody
-    /// inspects: charges `count` consecutive pages exactly as
-    /// [`Self::read_page_ref`] of each would — device clock, counters,
-    /// energy, and hit metrics, in the same order — with one call and one
-    /// liveness check per batch, and no borrow or copy formed at all.
-    ///
-    /// # Errors
-    ///
-    /// [`StorageError::Crashed`] after an unrecovered battery death, or a
-    /// propagated device error.
-    // lint: hot-path
-    pub fn read_pages_discard(&mut self, first: PageId, count: u64) -> Result<()> {
-        self.check_alive()?;
-        let ps = self.cfg.page_size;
-        for page in first..first + count {
-            match self.map.get(page) {
-                Some(Location::Dram(frame)) => {
-                    self.dram.read_borrow(self.frame_addr(frame), ps)?;
-                    self.metrics.reads_from_dram += 1;
-                }
-                Some(Location::Flash(addr)) => {
-                    self.flash.read_borrow(addr, ps)?;
-                    self.metrics.reads_from_flash += 1;
-                }
-                None => self.metrics.hole_reads += 1,
-            }
-        }
-        Ok(())
     }
 
     /// Reads a byte range within one page — the direct-mapped access path
@@ -632,20 +648,9 @@ impl StorageManager {
             offset + buf.len() as u64 <= self.cfg.page_size,
             "slice crosses page boundary"
         );
-        self.check_alive()?;
-        match self.map.get(page) {
-            Some(Location::Dram(frame)) => {
-                self.dram.read(self.frame_addr(frame) + offset, buf)?;
-                self.metrics.reads_from_dram += 1;
-            }
-            Some(Location::Flash(addr)) => {
-                self.flash.read(addr + offset, buf)?;
-                self.metrics.reads_from_flash += 1;
-            }
-            None => {
-                buf.fill(0);
-                self.metrics.hole_reads += 1;
-            }
+        match self.read_range(page, offset, buf.len() as u64)? {
+            Some(data) => buf.copy_from_slice(data),
+            None => buf.fill(0),
         }
         Ok(())
     }
@@ -709,7 +714,8 @@ impl StorageManager {
     pub fn sync(&mut self) -> Result<()> {
         self.check_alive()?;
         let mut pages = core::mem::take(&mut self.flush_scratch);
-        self.buffer.pages_into(&mut pages);
+        self.buffer
+            .colder_than_into(SimTime::MAX, usize::MAX, &mut pages);
         let flushed = self.flush_pages(&pages);
         pages.clear();
         self.flush_scratch = pages;
@@ -776,7 +782,7 @@ impl StorageManager {
         }
         let mut victims = core::mem::take(&mut self.flush_scratch);
         self.buffer
-            .coldest_k_into(self.cfg.flush.batch.max(1), &mut victims);
+            .colder_than_into(SimTime::MAX, self.cfg.flush.batch.max(1), &mut victims);
         let flushed = self.flush_pages(&victims);
         victims.clear();
         self.flush_scratch = victims;
@@ -793,7 +799,8 @@ impl StorageManager {
         let excess = self.buffer.len().saturating_sub(target);
         if excess > 0 {
             let mut victims = core::mem::take(&mut self.flush_scratch);
-            self.buffer.coldest_k_into(excess, &mut victims);
+            self.buffer
+                .colder_than_into(SimTime::MAX, excess, &mut victims);
             let flushed = self.flush_pages(&victims);
             victims.clear();
             self.flush_scratch = victims;
@@ -860,16 +867,7 @@ impl StorageManager {
             flushed += 1;
         }
         if flushed > 0 {
-            self.recorder.emit(|| Span {
-                kind: EventKind::StorageFlush,
-                start,
-                end: self.clock.now(),
-                energy: Energy::from_nanojoules(
-                    self.flash.total_energy().as_nanojoules() - e0.as_nanojoules(),
-                ),
-                pages: flushed,
-                bytes: flushed * self.cfg.page_size,
-            });
+            self.emit_flash_span(EventKind::StorageFlush, start, e0, flushed);
         }
         self.update_gauges();
         Ok(())
@@ -1087,34 +1085,17 @@ impl StorageManager {
             let mut live = core::mem::take(&mut self.live_scratch);
             live.clear();
             self.table.seg(victim).live_slots_into(&mut live);
-            let mut moved = false;
             for &(slot, meta) in &live {
                 let old_addr = self.table.slot_addr(victim, slot);
+                // Read before `ensure_open`: waiting out an erase there
+                // advances the clock, and the copy's read charge must land
+                // ahead of it.
                 self.flash.read(old_addr, &mut data)?;
                 // GC survivors are cold by definition: they go to the cold
                 // head (and, under partitioning, to the read-mostly banks).
                 let seg = self.ensure_open(SegClass::Cold, false)?;
-                // The copy is byte-identical, so the header's CRC carries.
-                let new_slot = self.table.append(seg, meta, self.now());
-                let new_addr = self.table.slot_addr(seg, new_slot);
-                self.ckpt.mark_dirtied(seg);
-                self.flash.program_async(new_addr, &data)?;
-                self.table.kill_at(old_addr);
-                // A shielded stale copy relocates with its slot; only a
-                // current copy re-points the page map (the page may be
-                // dirty in DRAM, and the map must keep saying so).
-                match self.map.get(meta.page) {
-                    Some(Location::Dram(frame))
-                        if self.buffer.shadow_get(frame) == Some(old_addr) =>
-                    {
-                        self.buffer.shadow_set(frame, new_addr);
-                    }
-                    _ => self.map.set(meta.page, Location::Flash(new_addr)),
-                }
-                self.metrics.gc_flash_pages += 1;
-                moved = true;
+                self.relocate_slot(seg, old_addr, meta, &data)?;
             }
-            let _ = moved;
             live.clear();
             self.live_scratch = live;
             self.retire_or_erase(victim)?;
@@ -1123,19 +1104,42 @@ impl StorageManager {
         }
         self.pool.put(data);
         if progressed {
-            self.recorder.emit(|| Span {
-                kind: EventKind::StorageGc,
-                start,
-                end: self.clock.now(),
-                energy: Energy::from_nanojoules(
-                    self.flash.total_energy().as_nanojoules() - e0.as_nanojoules(),
-                ),
-                pages: self.metrics.gc_flash_pages - moved0,
-                bytes: (self.metrics.gc_flash_pages - moved0) * self.cfg.page_size,
-            });
+            let moved = self.metrics.gc_flash_pages - moved0;
+            self.emit_flash_span(EventKind::StorageGc, start, e0, moved);
         }
         self.maybe_flush_tombstones()?;
         Ok(progressed)
+    }
+
+    /// Migrates one live slot — whose payload the caller has already read
+    /// into `data` from `old_addr` — into the next slot of open segment
+    /// `seg`: the one valid-page move behind both garbage collection and
+    /// wear leveling. The copy is byte-identical, so the header's CRC
+    /// carries.
+    // lint: hot-path
+    fn relocate_slot(
+        &mut self,
+        seg: usize,
+        old_addr: u64,
+        meta: SlotMeta,
+        data: &[u8],
+    ) -> Result<()> {
+        let new_slot = self.table.append(seg, meta, self.now());
+        let new_addr = self.table.slot_addr(seg, new_slot);
+        self.ckpt.mark_dirtied(seg);
+        self.flash.program_async(new_addr, data)?;
+        self.table.kill_at(old_addr);
+        // A shielded stale copy relocates with its slot; only a current
+        // copy re-points the page map (the page may be dirty in DRAM, and
+        // the map must keep saying so).
+        match self.map.get(meta.page) {
+            Some(Location::Dram(frame)) if self.buffer.shadow_get(frame) == Some(old_addr) => {
+                self.buffer.shadow_set(frame, new_addr);
+            }
+            _ => self.map.set(meta.page, Location::Flash(new_addr)),
+        }
+        self.metrics.gc_flash_pages += 1;
+        Ok(())
     }
 
     /// Erases a drained victim segment, or retires it if the block has
@@ -1211,17 +1215,26 @@ impl StorageManager {
             };
             let take = per_slot.min(records.len());
             let batch = self.table.tomb_batch(records, take);
-            let now = self.now();
-            let slot = self.table.append_tomb(seg, batch, now);
-            let addr = self.table.slot_addr(seg, slot);
-            self.ckpt.mark_dirtied(seg);
-            let data = self.pool.take_zeroed();
-            let programmed = self.flash.program_async(addr, &data);
-            self.pool.put(data);
-            programmed?;
-            self.metrics.summary_flash_pages += 1;
+            self.program_tomb_slot(seg, batch)?;
         }
         Ok(true)
+    }
+
+    /// Appends `batch` as a tombstone slot in open segment `seg` and
+    /// programs it: tombstone slots are real programs of a zeroed
+    /// payload, with the records in the slot header.
+    // lint: hot-path
+    fn program_tomb_slot(&mut self, seg: usize, batch: Vec<(PageId, u64)>) -> Result<()> {
+        let now = self.now();
+        let slot = self.table.append_tomb(seg, batch, now);
+        let addr = self.table.slot_addr(seg, slot);
+        self.ckpt.mark_dirtied(seg);
+        let data = self.pool.take_zeroed();
+        let programmed = self.flash.program_async(addr, &data);
+        self.pool.put(data);
+        programmed?;
+        self.metrics.summary_flash_pages += 1;
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1301,21 +1314,7 @@ impl StorageManager {
         for &(slot, meta) in &live {
             let old_addr = self.table.slot_addr(victim, slot);
             self.flash.read(old_addr, &mut data)?;
-            let new_slot = self.table.append(dest, meta, self.now());
-            let new_addr = self.table.slot_addr(dest, new_slot);
-            self.ckpt.mark_dirtied(dest);
-            self.flash.program_async(new_addr, &data)?;
-            self.table.kill_at(old_addr);
-            // Same shielded-copy rule as the GC copy loop above.
-            match self.map.get(meta.page) {
-                Some(Location::Dram(frame))
-                    if self.buffer.shadow_get(frame) == Some(old_addr) =>
-                {
-                    self.buffer.shadow_set(frame, new_addr);
-                }
-                _ => self.map.set(meta.page, Location::Flash(new_addr)),
-            }
-            self.metrics.gc_flash_pages += 1;
+            self.relocate_slot(dest, old_addr, meta, &data)?;
         }
         live.clear();
         self.live_scratch = live;
@@ -1323,16 +1322,8 @@ impl StorageManager {
         self.pool.put(data);
         self.retire_or_erase(victim)?;
         self.metrics.wear_migrations += 1;
-        self.recorder.emit(|| Span {
-            kind: EventKind::StorageWearLevel,
-            start,
-            end: self.clock.now(),
-            energy: Energy::from_nanojoules(
-                self.flash.total_energy().as_nanojoules() - e0.as_nanojoules(),
-            ),
-            pages: self.metrics.gc_flash_pages - moved0,
-            bytes: (self.metrics.gc_flash_pages - moved0) * self.cfg.page_size,
-        });
+        let moved = self.metrics.gc_flash_pages - moved0;
+        self.emit_flash_span(EventKind::StorageWearLevel, start, e0, moved);
         Ok(())
     }
 
@@ -1378,16 +1369,7 @@ impl StorageManager {
                     return Err(e);
                 }
             };
-            let now = self.now();
-            let slot = self.table.append_tomb(seg, batch, now);
-            let addr = self.table.slot_addr(seg, slot);
-            self.ckpt.mark_dirtied(seg);
-            // Tombstone slots are real programs: zeroed payload of records.
-            let data = self.pool.take_zeroed();
-            let programmed = self.flash.program_async(addr, &data);
-            self.pool.put(data);
-            programmed?;
-            self.metrics.summary_flash_pages += 1;
+            self.program_tomb_slot(seg, batch)?;
         }
         Ok(())
     }
@@ -1434,16 +1416,7 @@ impl StorageManager {
         self.ckpt.pages = pages;
         self.ckpt.dirtied.fill(false);
         self.ckpt.last = self.now();
-        self.recorder.emit(|| Span {
-            kind: EventKind::StorageCheckpoint,
-            start,
-            end: self.clock.now(),
-            energy: Energy::from_nanojoules(
-                self.flash.total_energy().as_nanojoules() - e0.as_nanojoules(),
-            ),
-            pages,
-            bytes: pages * self.cfg.page_size,
-        });
+        self.emit_flash_span(EventKind::StorageCheckpoint, start, e0, pages);
         Ok(())
     }
 
@@ -1455,7 +1428,9 @@ impl StorageManager {
     /// map, pending tombstones) are gone. All operations fail until
     /// [`StorageManager::recover`] is called.
     pub fn crash(&mut self) {
-        self.crash_buffered = self.buffer.pages();
+        self.crash_buffered.clear();
+        self.buffer
+            .colder_than_into(SimTime::MAX, usize::MAX, &mut self.crash_buffered);
         self.crash_pending_tombs = self.pending_tombstones.drain(..).map(|(p, _)| p).collect();
         // The shielded stale copies stop being shadows the moment the
         // buffered replacements die with the DRAM: recovery will pick
@@ -1498,7 +1473,6 @@ impl StorageManager {
                 // Charge the scan: with a checkpoint, read it plus the
                 // headers of segments dirtied since; without, read every
                 // programmed slot header in the log.
-                let mut header = [0u8; RECORD_BYTES as usize];
                 if used_checkpoint {
                     let base = self.ckpt.active as u64 * self.cfg.flash.block_bytes;
                     let mut page = self.pool.take();
@@ -1506,34 +1480,28 @@ impl StorageManager {
                         self.flash.read(base + i * self.cfg.page_size, &mut page)?;
                     }
                     self.pool.put(page);
-                    // Ascending scan over the bitmap: the same order the
-                    // old sorted-set iteration charged reads in. Cover
-                    // first: segments past the snapshot-time bitmap are
-                    // conservatively dirty, never silently clean.
+                    // Cover first: segments past the snapshot-time bitmap
+                    // are conservatively dirty, never silently clean.
                     self.ckpt.cover(self.table.len());
-                    for seg in 0..self.table.len() {
-                        if !self.ckpt.is_dirtied(seg) {
-                            continue;
-                        }
-                        let n = self.table.seg(seg).next_slot;
-                        for slot in 0..n {
-                            let addr = self.table.slot_addr(seg, slot);
-                            self.flash.read(addr, &mut header)?;
-                        }
-                    }
-                } else {
-                    for seg in 0..self.table.len() {
-                        if matches!(
+                }
+                // Ascending segment order, one header read per programmed
+                // slot of every segment the scan must visit.
+                let mut header = [0u8; RECORD_BYTES as usize];
+                for seg in 0..self.table.len() {
+                    let scan = if used_checkpoint {
+                        self.ckpt.is_dirtied(seg)
+                    } else {
+                        !matches!(
                             self.table.seg(seg).state,
                             SegState::Free | SegState::Retired
-                        ) {
-                            continue;
-                        }
-                        let n = self.table.seg(seg).next_slot;
-                        for slot in 0..n {
-                            let addr = self.table.slot_addr(seg, slot);
-                            self.flash.read(addr, &mut header)?;
-                        }
+                        )
+                    };
+                    if !scan {
+                        continue;
+                    }
+                    for slot in 0..self.table.seg(seg).next_slot {
+                        let addr = self.table.slot_addr(seg, slot);
+                        self.flash.read(addr, &mut header)?;
                     }
                 }
                 // A power cut can tear the program that was in flight:
@@ -2502,5 +2470,66 @@ mod tests {
         let mut buf = page_of(0);
         m.read_page(6, &mut buf).expect("read");
         assert_eq!(buf, page_of(0x62));
+    }
+
+    /// Every read entry point shares one dispatch, so they must charge
+    /// identically: `read_pages_discard(first, n)` costs what `n` calls of
+    /// `read_page_ref` — or of whole-page `read_page_slice` — cost, over
+    /// interleaved flash-resident (bank still busy with the sync's
+    /// programs), DRAM-resident, and hole pages.
+    #[test]
+    fn read_entry_points_charge_identically() {
+        const N: u64 = 9;
+        let setup = || {
+            let (mut m, clock) = manager();
+            for p in (0..N).step_by(3) {
+                m.write_page(p, &page_of(0xF0)).expect("flash page");
+            }
+            m.sync().expect("sync");
+            for p in (1..N).step_by(3) {
+                m.write_page(p, &page_of(0xD0)).expect("dram page");
+            }
+            (m, clock)
+        };
+        let charged = |m: &StorageManager, clock: &SharedClock| {
+            format!(
+                "{:?} {:?} {:?} {:?} {:?}",
+                clock.now(),
+                m.metrics(),
+                m.flash().counters(),
+                m.dram().counters(),
+                m.energy_total(),
+            )
+        };
+
+        let (mut batch, batch_clock) = setup();
+        batch.read_pages_discard(0, N).expect("discard");
+        let (mut by_ref, ref_clock) = setup();
+        for p in 0..N {
+            by_ref.read_page_ref(p).expect("ref");
+        }
+        let (mut by_slice, slice_clock) = setup();
+        let mut buf = page_of(0);
+        for p in 0..N {
+            by_slice.read_page_slice(p, 0, &mut buf).expect("slice");
+        }
+
+        let expect = charged(&by_ref, &ref_clock);
+        assert_eq!(charged(&batch, &batch_clock), expect);
+        assert_eq!(charged(&by_slice, &slice_clock), expect);
+        let metrics = by_ref.metrics();
+        assert_eq!(
+            (
+                metrics.reads_from_flash,
+                metrics.reads_from_dram,
+                metrics.hole_reads
+            ),
+            (3, 3, 3),
+            "the window must cover all three page locations"
+        );
+        assert!(
+            by_ref.flash().counters().stalled_reads > 0,
+            "a flash read must have waited out a busy bank"
+        );
     }
 }

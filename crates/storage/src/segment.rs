@@ -119,14 +119,6 @@ impl Segment {
             }
         }
     }
-
-    /// Live slot metas, with their slot indices (allocating convenience
-    /// wrapper over [`Segment::live_slots_into`]).
-    pub fn live_slots(&self) -> Vec<(usize, SlotMeta)> {
-        let mut out = Vec::new();
-        self.live_slots_into(&mut out);
-        out
-    }
 }
 
 /// The table of all log segments plus free/erase bookkeeping.
@@ -214,11 +206,6 @@ impl SegmentTable {
         &mut self.segments[idx]
     }
 
-    /// Indices of free segments.
-    pub fn free_segments(&self) -> Vec<usize> {
-        self.by_state(SegState::Free)
-    }
-
     /// Free segments, O(1): the count is maintained on every state
     /// transition; debug builds reconcile it against a full scan.
     pub fn free_count(&self) -> usize {
@@ -242,16 +229,6 @@ impl SegmentTable {
             .map(|(i, _)| i)
     }
 
-    /// Indices of closed segments (GC candidates).
-    pub fn closed_segments(&self) -> Vec<usize> {
-        self.by_state(SegState::Closed)
-    }
-
-    /// Indices of retired segments.
-    pub fn retired_segments(&self) -> Vec<usize> {
-        self.by_state(SegState::Retired)
-    }
-
     /// Retired segments, O(1); debug builds reconcile against a scan.
     pub fn retired_count(&self) -> usize {
         debug_assert_eq!(
@@ -263,15 +240,6 @@ impl SegmentTable {
             "maintained retired-segment counter diverged from a full scan"
         );
         self.retired_count
-    }
-
-    fn by_state(&self, state: SegState) -> Vec<usize> {
-        self.segments
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.state == state)
-            .map(|(i, _)| i)
-            .collect()
     }
 
     /// Total live pages across all segments.
@@ -795,7 +763,10 @@ mod tests {
     #[test]
     fn open_append_close_lifecycle() {
         let mut tb = table();
-        assert_eq!(tb.free_segments(), vec![0, 1, 2, 3]);
+        assert_eq!(
+            tb.segments_in(SegState::Free).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3]
+        );
         tb.open(0);
         let slot = tb.append(0, sm(42, 1), t(1));
         assert_eq!(slot, 0);
@@ -811,7 +782,10 @@ mod tests {
         assert!(tb.seg(0).is_full());
         assert_eq!(tb.seg(0).slots_free(), 0);
         tb.close(0);
-        assert_eq!(tb.closed_segments(), vec![0]);
+        assert_eq!(
+            tb.segments_in(SegState::Closed).collect::<Vec<_>>(),
+            vec![0]
+        );
         assert_eq!(tb.live_pages(), 8);
     }
 
@@ -861,10 +835,16 @@ mod tests {
         tb.open(0);
         tb.close(0);
         tb.retire(0);
-        assert_eq!(tb.retired_segments(), vec![0]);
+        assert_eq!(
+            tb.segments_in(SegState::Retired).collect::<Vec<_>>(),
+            vec![0]
+        );
         assert_eq!(tb.usable_slots(), before - 8);
         // Retired segments never return to the free list.
-        assert_eq!(tb.free_segments(), vec![1, 2, 3]);
+        assert_eq!(
+            tb.segments_in(SegState::Free).collect::<Vec<_>>(),
+            vec![1, 2, 3]
+        );
     }
 
     #[test]
@@ -911,7 +891,8 @@ mod tests {
         let s2 = tb.append(0, sm(2, 2), t(0));
         tb.kill_at(tb.slot_addr(0, s2));
         tb.append_tomb(0, vec![(2, 3)], t(0));
-        let live = tb.seg(0).live_slots();
+        let mut live = Vec::new();
+        tb.seg(0).live_slots_into(&mut live);
         assert_eq!(live.len(), 1);
         assert_eq!(live[0].1.page, 1);
     }

@@ -1,10 +1,9 @@
 //! Trace persistence.
 //!
-//! Traces serialise to JSON so experiments can be archived and replayed
-//! across runs (and so a future user can drop in a converted real trace in
-//! place of the synthetic generators). Compiled [`OpStream`]s additionally
-//! serialise to a dense binary container (`.ops`) so million-op traces
-//! stream to and from disk without ever existing as `Vec<TraceRecord>`:
+//! Compiled [`OpStream`]s serialise to a dense binary container (`.ops`)
+//! so experiments can be archived and replayed across runs, and so
+//! million-op traces stream to and from disk without ever existing as
+//! `Vec<TraceRecord>`:
 //!
 //! ```text
 //! magic "SSMCOPS\0" · version u16 · pad u16 · name_len u32
@@ -17,36 +16,15 @@
 //! [`OpStreamWriter::finish`]; [`OpStreamFileReader`] streams records
 //! back through a fixed buffer, allocation-free after open.
 
-use crate::record::{FileId, FileOp, Trace, TraceRecord};
+use crate::record::{FileId, FileOp, TraceRecord};
 use crate::stream::{
     encode_record, kind_code_valid, FileTable, OpStream, RECORD_BYTES, RECORD_WORDS,
 };
-use ssmc_sim::report::{FromReport, ToReport, Value};
 use ssmc_sim::SimTime;
 use std::fs;
 use std::io;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-
-/// Saves a trace as JSON.
-///
-/// # Errors
-///
-/// Returns any underlying filesystem error.
-pub fn save_json(trace: &Trace, path: &Path) -> io::Result<()> {
-    fs::write(path, trace.to_report().encode())
-}
-
-/// Loads a trace from JSON.
-///
-/// # Errors
-///
-/// Returns any underlying filesystem or deserialisation error.
-pub fn load_json(path: &Path) -> io::Result<Trace> {
-    let json = fs::read_to_string(path)?;
-    let value = Value::decode(&json).map_err(io::Error::other)?;
-    Trace::from_report(&value).map_err(io::Error::other)
-}
 
 // ---------------------------------------------------------------------
 // Compiled op-stream container
@@ -366,26 +344,6 @@ impl OpStreamFileReader {
 mod tests {
     use super::*;
     use crate::generator::{GeneratorConfig, Workload};
-
-    #[test]
-    fn save_load_round_trip() {
-        let trace = GeneratorConfig::new(Workload::Office)
-            .with_ops(500)
-            .generate();
-        let path =
-            std::env::temp_dir().join(format!("ssmc-trace-io-test-{}.json", std::process::id()));
-        save_json(&trace, &path).expect("save");
-        let back = load_json(&path).expect("load");
-        assert_eq!(back.records, trace.records);
-        assert_eq!(back.name, trace.name);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn load_missing_file_errors() {
-        let err = load_json(Path::new("/nonexistent/ssmc-trace.json"));
-        assert!(err.is_err());
-    }
 
     fn temp(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("ssmc-opstream-{tag}-{}.ops", std::process::id()))

@@ -40,7 +40,7 @@ pub use lifetime::LifetimeModel;
 pub use oracle::{pages_allocated, project, OracleConfig, PageOp, PageOpKind};
 pub use record::{FileId, FileOp, OpKind, Trace, TraceRecord, TraceStats};
 pub use replay::{
-    coalesce_key, replay, replay_stream, BatchStats, BatchTarget, ReplayReport, TraceTarget,
-    BATCH_ERROR, MAX_BATCH,
+    apply_at, coalesce_key, replay, replay_stream, BatchStats, BatchTarget, ReplayReport,
+    TraceTarget, BATCH_ERROR, MAX_BATCH,
 };
 pub use stream::{kind_code, OpStream, OpStreamCursor};

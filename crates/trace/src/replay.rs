@@ -76,15 +76,12 @@ impl ReplayReport {
 
 /// A target that accepts whole batches of records at once.
 ///
-/// Batching is a *host-side* optimisation: the implementation must produce
-/// exactly the simulated sequence that per-record [`replay`] produces —
-/// advance the shared clock to each record's arrival instant, run
-/// maintenance, apply the operation, and record its simulated latency. A
-/// coalesced run (the driver only groups consecutive records of one data
-/// kind on one file) lets the target hoist per-batch lookups such as the
-/// replay file descriptor, but never merge or reorder simulated work: the
-/// flash image after a batched replay must be byte-identical to the
-/// unbatched one.
+/// The implementation must produce exactly the simulated sequence that
+/// per-record [`replay`] produces: [`apply_at`] on each record in order.
+/// A coalesced run (the driver only groups consecutive records of one
+/// data kind on one file) may be attributed or counted as a unit, but its
+/// simulated work is never merged or reordered: the flash image after a
+/// batched replay must be byte-identical to the unbatched one.
 pub trait BatchTarget: TraceTarget {
     /// Applies `records` in order, writing each operation's simulated
     /// latency into the matching `latencies` slot, or [`BATCH_ERROR`] for
@@ -215,6 +212,26 @@ where
     (report, stats)
 }
 
+/// Submits one record open-loop: advances `clock` (which the target must
+/// share) to the record's arrival instant — a no-op when the target is
+/// already running behind — and applies the operation. Returns its
+/// simulated latency, queueing included, or [`BATCH_ERROR`] if it failed.
+/// Every replay driver and [`BatchTarget`] implementation submits records
+/// through this one rule.
+// lint: hot-path
+pub fn apply_at<T: TraceTarget + ?Sized>(
+    target: &mut T,
+    record: &TraceRecord,
+    clock: &Clock,
+) -> SimDuration {
+    clock.advance_to(record.at);
+    let t0 = clock.now();
+    match target.apply(&record.op) {
+        Ok(()) => clock.now().since(t0),
+        Err(_) => BATCH_ERROR,
+    }
+}
+
 /// Replays `trace` against `target`, measuring per-operation latency on
 /// `clock` (which the target must share).
 pub fn replay<T: TraceTarget + ?Sized>(
@@ -225,21 +242,16 @@ pub fn replay<T: TraceTarget + ?Sized>(
     let mut report = ReplayReport::default();
     let start = clock.now();
     for record in &trace.records {
-        // Open-loop arrival: wait for the arrival time unless we are
-        // already running behind.
-        clock.advance_to(record.at);
-        let t0 = clock.now();
         report.ops += 1;
-        match target.apply(&record.op) {
-            Ok(()) => {
-                let latency = clock.now().since(t0);
-                report
-                    .per_op
-                    .entry(record.op.kind())
-                    .or_default()
-                    .record_duration(latency);
-            }
-            Err(_) => report.errors += 1,
+        let latency = apply_at(target, record, clock);
+        if latency == BATCH_ERROR {
+            report.errors += 1;
+        } else {
+            report
+                .per_op
+                .entry(record.op.kind())
+                .or_default()
+                .record_duration(latency);
         }
     }
     report.elapsed = clock.now().since(start);

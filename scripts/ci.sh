@@ -7,7 +7,7 @@ set -eu
 # One warnings-as-errors build: the tree must be warning-clean, not
 # just compile.
 RUSTFLAGS="-D warnings" cargo build --release --offline
-cargo test -q --offline --workspace
+cargo test -q --offline --workspace --no-fail-fast
 
 # The benchmark (perfbench/, its own Cargo workspace) builds against the
 # crates' public APIs by path; its tests compile it, so a refactor that

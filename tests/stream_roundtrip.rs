@@ -9,7 +9,9 @@
 //! `equiv_flash.rs` this makes the compile → decode → batch pipeline an
 //! equivalence-preserving transformation for all five workloads.
 
-use ssmc::core::{MachineConfig, MobileComputer};
+use ssmc::baseline::BaselineConfig;
+use ssmc::core::{DiskComputer, MachineConfig, MobileComputer};
+use ssmc::device::BatterySpec;
 use ssmc::sim::stats::Histogram;
 use ssmc::sim::SimDuration;
 use ssmc::trace::{
@@ -104,6 +106,40 @@ fn all_five_generators_round_trip_through_the_ops_file() {
         );
         assert_eq!(stats.batch_ops, r2.ops, "{w}: every op flows through a batch");
     }
+}
+
+/// The disk-based baseline's `BatchTarget` impl must be as faithful as the
+/// mobile machine's: a batched streaming replay gives the report (and
+/// energy) of the classic per-record replay. BSD writes and reads in
+/// same-file runs, so the stream really coalesces.
+#[test]
+fn disk_computer_stream_replay_matches_per_record_replay() {
+    let trace = config(Workload::Bsd).generate();
+    let disk = || DiskComputer::new(BaselineConfig::default(), BatterySpec::default());
+
+    let mut m1 = disk();
+    let clock1 = m1.clock().clone();
+    let r1 = replay(&trace, &mut m1, &clock1);
+
+    let mut m2 = disk();
+    let clock2 = m2.clock().clone();
+    let (r2, stats) = replay_stream(trace.records.iter().copied(), &mut m2, &clock2);
+
+    assert!(stats.coalesced_ops > 0, "the BSD trace must coalesce");
+    assert_eq!(stats.batch_ops, r2.ops, "every op flows through a batch");
+    assert_eq!(r2.ops, r1.ops, "op count");
+    assert_eq!(r2.errors, r1.errors, "error count");
+    assert_eq!(r2.elapsed, r1.elapsed, "simulated elapsed time");
+    assert_eq!(
+        report_fingerprint(&r2),
+        report_fingerprint(&r1),
+        "replay reports diverged"
+    );
+    assert_eq!(
+        m2.total_energy(),
+        m1.total_energy(),
+        "device energy diverged"
+    );
 }
 
 /// `ReplayReport`'s percentile accessors are thin views over the shared
