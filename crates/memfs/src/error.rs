@@ -66,11 +66,12 @@ impl From<StorageError> for FsError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssmc_storage::Exhausted;
 
     #[test]
     fn wraps_storage_errors() {
-        let e: FsError = StorageError::NoSpace.into();
-        assert!(matches!(e, FsError::Storage(StorageError::NoSpace)));
+        let e: FsError = StorageError::NoSpace(Exhausted::Segments).into();
+        assert!(matches!(e, FsError::Storage(StorageError::NoSpace(_))));
         assert!(e.to_string().contains("storage"));
     }
 

@@ -34,8 +34,6 @@ struct FrameMeta {
     page: PageId,
     /// Instant of the most recent write (LRW ordering key).
     last_write: SimTime,
-    /// Instant the page first became dirty (data-at-risk age).
-    dirty_since: SimTime,
     /// Previous (colder) frame in the LRW list, or [`NIL`].
     prev: usize,
     /// Next (hotter) frame in the LRW list, or [`NIL`].
@@ -112,14 +110,6 @@ impl WriteBuffer {
     /// Frame index of a buffered page.
     pub fn frame_of(&self, page: PageId) -> Option<usize> {
         self.index.get(page)
-    }
-
-    /// Instant `page` first became dirty.
-    pub fn dirty_since(&self, page: PageId) -> Option<SimTime> {
-        self.index
-            .get(page)
-            .and_then(|f| self.frames[f])
-            .map(|m| m.dirty_since)
     }
 
     /// Records the flash address of `frame`'s page's shielded stale copy.
@@ -207,7 +197,6 @@ impl WriteBuffer {
         self.frames[frame] = Some(FrameMeta {
             page,
             last_write: now,
-            dirty_since: now,
             prev: NIL,
             next: NIL,
             shadow: None,
@@ -247,14 +236,6 @@ impl WriteBuffer {
         debug_assert!(meta.shadow.is_none(), "frame released with live shadow");
         self.free.push(frame);
         Some(frame)
-    }
-
-    /// The coldest page (least recently written), if any.
-    pub fn coldest(&self) -> Option<PageId> {
-        match self.head {
-            NIL => None,
-            h => self.frames[h].map(|m| m.page),
-        }
     }
 
     /// Walks the LRW list coldest-first, appending pages with
@@ -337,10 +318,9 @@ mod tests {
         b.insert(1, t(0));
         b.insert(2, t(1));
         b.insert(3, t(2));
-        assert_eq!(b.coldest(), Some(1));
+        assert_eq!(colder(&b, SimTime::MAX, 1), vec![1]);
         // Rewriting page 1 makes page 2 the coldest.
         b.touch(1, t(3));
-        assert_eq!(b.coldest(), Some(2));
         assert_eq!(colder(&b, SimTime::MAX, 2), vec![2, 3]);
     }
 
@@ -353,14 +333,6 @@ mod tests {
         assert_eq!(colder(&b, t(20), 10), vec![1, 2, 3]);
         assert_eq!(colder(&b, t(20), 2), vec![1, 2]);
         assert!(colder(&b, SimTime::ZERO, 10).len() <= 1);
-    }
-
-    #[test]
-    fn dirty_since_survives_touches() {
-        let mut b = WriteBuffer::new(2);
-        b.insert(5, t(1));
-        b.touch(5, t(9));
-        assert_eq!(b.dirty_since(5), Some(t(1)));
     }
 
     #[test]
@@ -421,7 +393,7 @@ mod tests {
         assert_eq!(pages(&b), vec![3]);
         b.remove(3);
         assert!(pages(&b).is_empty());
-        assert_eq!(b.coldest(), None);
+        assert!(colder(&b, SimTime::MAX, 1).is_empty());
     }
 
     #[test]

@@ -3,12 +3,24 @@
 use core::fmt;
 use ssmc_device::DeviceError;
 
+/// The resource whose exhaustion a [`StorageError::NoSpace`] reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Exhausted {
+    /// The live data set would exceed the configured maximum
+    /// utilisation.
+    Capacity,
+    /// No free or erasing segment could be found for a write head, even
+    /// after garbage collection.
+    Segments,
+    /// The page's fixed in-place home lies past the end of the device.
+    InPlaceHome,
+}
+
 /// Errors surfaced by the storage manager.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageError {
-    /// No flash space left even after garbage collection: the live data
-    /// set exceeds the configured maximum utilisation.
-    NoSpace,
+    /// No flash space left; the payload names what ran out.
+    NoSpace(Exhausted),
     /// The machine is in the crashed state (battery died) and has not been
     /// recovered yet.
     Crashed,
@@ -20,7 +32,21 @@ pub enum StorageError {
 impl fmt::Display for StorageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StorageError::NoSpace => write!(f, "flash is full (live data exceeds capacity)"),
+            StorageError::NoSpace(Exhausted::Capacity) => {
+                write!(f, "flash is full (live data exceeds capacity)")
+            }
+            StorageError::NoSpace(Exhausted::Segments) => {
+                write!(
+                    f,
+                    "flash is full (no free or erasing segment for a write head)"
+                )
+            }
+            StorageError::NoSpace(Exhausted::InPlaceHome) => {
+                write!(
+                    f,
+                    "flash is full (in-place home past the end of the device)"
+                )
+            }
             StorageError::Crashed => write!(f, "storage manager is crashed; recover first"),
             StorageError::Device(e) => write!(f, "device error: {e}"),
         }
@@ -58,6 +84,19 @@ mod tests {
         use std::error::Error as _;
         let e: StorageError = DeviceError::ContentsLost.into();
         assert!(e.source().is_some());
-        assert!(StorageError::NoSpace.source().is_none());
+        assert!(StorageError::NoSpace(Exhausted::Capacity)
+            .source()
+            .is_none());
+    }
+
+    #[test]
+    fn no_space_names_what_ran_out() {
+        let text = |kind| StorageError::NoSpace(kind).to_string();
+        assert_eq!(
+            text(Exhausted::Capacity),
+            "flash is full (live data exceeds capacity)"
+        );
+        assert!(text(Exhausted::Segments).contains("segment"));
+        assert!(text(Exhausted::InPlaceHome).contains("in-place home"));
     }
 }

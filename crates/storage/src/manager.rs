@@ -17,7 +17,7 @@
 use crate::buffer::WriteBuffer;
 use crate::config::{BankPolicy, Placement, StorageConfig, WearLeveling};
 use crate::crc;
-use crate::error::StorageError;
+use crate::error::{Exhausted, StorageError};
 use crate::gc::{pick_coldest, pick_victim};
 use crate::map::{Location, PageId, PageMap};
 use crate::metrics::StorageMetrics;
@@ -129,6 +129,11 @@ pub struct StorageManager {
     /// Recycled scratch for tombstones carried across a segment erase;
     /// see [`StorageManager::retire_or_erase`].
     carry_scratch: Vec<(PageId, u64)>,
+    /// Recycled buffers for the batch [`StorageManager::flush_tombstones`]
+    /// holds across `ensure_open`. GC under that call can flush later
+    /// batches first, so each nesting level pops its own buffer; two
+    /// cover the usual depth without allocating.
+    tomb_batches: Vec<Vec<(PageId, u64)>>,
     /// CRC-32 of one all-zero page — the expected payload checksum of
     /// tombstone and checkpoint slots.
     zero_crc: u32,
@@ -196,6 +201,7 @@ impl StorageManager {
         pool.prewarm(4);
         let buffer_frames = cfg.buffer_frames();
         let slots = cfg.slots_per_segment();
+        let tombs_per_slot = (cfg.page_size / RECORD_BYTES) as usize;
         StorageManager {
             buffer: WriteBuffer::new(buffer_frames),
             map: PageMap::new(),
@@ -207,6 +213,7 @@ impl StorageManager {
             open_cold: None,
             pending_tombstones: Vec::with_capacity(4 * slots.max(64)),
             carry_scratch: Vec::with_capacity(slots.max(16)),
+            tomb_batches: (0..2).map(|_| Vec::with_capacity(tombs_per_slot)).collect(),
             zero_crc: crc::crc32_zeros(cfg.page_size as usize),
             flush_scratch: Vec::with_capacity(buffer_frames),
             live_scratch: Vec::with_capacity(slots),
@@ -263,8 +270,12 @@ impl StorageManager {
 
     /// The storage layer's metrics walk: every [`StorageMetrics`] signal,
     /// GC efficiency, data at risk and segment-state occupancy, the flash
-    /// device below, the DRAM energy ledger, and one wear counter per
-    /// segment — the raw material for the per-segment wear heatmap.
+    /// device below, the DRAM energy ledger, one wear counter per segment
+    /// — the raw material for the per-segment wear heatmap — and the
+    /// segment-health gauges, counted over Open and Closed segments in
+    /// the same pass: open segments, never-programmed slots stranded in
+    /// open segments that are not a write head, tombstone slots, and the
+    /// tombstone records that pass the carry filter.
     pub fn publish_metrics(&self, sink: &mut impl MetricSink) {
         self.metrics.publish(sink);
         sink.gauge("storage.gc_efficiency", self.gc_efficiency());
@@ -279,12 +290,43 @@ impl StorageManager {
         );
         self.flash.publish_metrics(sink);
         sink.energy_ledger("energy.dram_total_nj", "", self.dram.energy());
+        let (mut open, mut stranded, mut tomb_slots, mut carried) = (0, 0, 0, 0);
         for seg in 0..self.table.len() {
             let erases = self
                 .flash
                 .erase_count(self.flash.block_of(self.table.block_addr(seg)));
             sink.indexed_counter("storage.segment_wear", seg, erases);
+            let s = self.table.seg(seg);
+            match s.state {
+                SegState::Open => {
+                    open += 1;
+                    if ![self.open_write, self.open_cold].contains(&Some(seg)) {
+                        stranded += s.slots_free();
+                    }
+                }
+                SegState::Closed => {}
+                _ => continue,
+            }
+            tomb_slots += s
+                .slots
+                .iter()
+                .filter(|x| matches!(x, Slot::Tomb { .. }))
+                .count();
+            carried += s
+                .tomb_records()
+                .filter(|&(page, _)| self.table.has_dead_copies(page))
+                .count();
         }
+        sink.gauge("storage.open_segments", open as f64);
+        sink.gauge("storage.stranded_slots", stranded as f64);
+        sink.gauge("storage.tomb_slots", tomb_slots as f64);
+        sink.gauge("storage.carried_records", carried as f64);
+    }
+
+    /// Panics if the segment table's bookkeeping disagrees with a full
+    /// recount; see [`SegmentTable::check_invariants`].
+    pub fn check_invariants(&self) {
+        self.table.check_invariants();
     }
 
     /// Fraction of reclaimed segment slots that were free (not live
@@ -427,7 +469,8 @@ impl StorageManager {
     ///
     /// # Errors
     ///
-    /// [`StorageError::NoSpace`] when live data would exceed capacity,
+    /// [`StorageError::NoSpace`] when live data would exceed capacity or
+    /// no segment can be found for the write head,
     /// [`StorageError::Crashed`] after an unrecovered battery death, or a
     /// propagated device error (in-place mode wearing out a block).
     ///
@@ -449,7 +492,7 @@ impl StorageManager {
             // Write-through configuration (the 0 MB point of F2).
             let had = self.map.get(page);
             if had.is_none() && !self.has_capacity_for(1) {
-                return Err(StorageError::NoSpace);
+                return Err(StorageError::NoSpace(Exhausted::Capacity));
             }
             self.flush_data_to_flash(page, data)?;
             self.metrics.user_flash_pages += 1;
@@ -467,7 +510,7 @@ impl StorageManager {
 
         let old = self.map.get(page);
         if old.is_none() && !self.has_capacity_for(1) {
-            return Err(StorageError::NoSpace);
+            return Err(StorageError::NoSpace(Exhausted::Capacity));
         }
         self.make_room()?;
         let now = self.now();
@@ -653,12 +696,6 @@ impl StorageManager {
             None => buf.fill(0),
         }
         Ok(())
-    }
-
-    /// Whether the page's current copy is on flash (false for DRAM-dirty
-    /// pages and holes). Placement decisions in the VM layer use this.
-    pub fn is_on_flash(&self, page: PageId) -> bool {
-        matches!(self.map.get(page), Some(Location::Flash(_)))
     }
 
     /// Frees a page. If it is still buffered, its write is cancelled
@@ -905,7 +942,7 @@ impl StorageManager {
         let base = RESERVED_BLOCKS as u64 * self.cfg.flash.block_bytes;
         let home = base + page * self.cfg.page_size;
         if home + self.cfg.page_size > self.flash.capacity() {
-            return Err(StorageError::NoSpace);
+            return Err(StorageError::NoSpace(Exhausted::InPlaceHome));
         }
         if self.flash.is_erased(home, self.cfg.page_size) {
             self.flash.program_async(home, data)?;
@@ -1047,9 +1084,9 @@ impl StorageManager {
             if allow_gc && self.collect_garbage()? {
                 continue;
             }
-            return Err(StorageError::NoSpace);
+            return Err(StorageError::NoSpace(Exhausted::Segments));
         }
-        Err(StorageError::NoSpace)
+        Err(StorageError::NoSpace(Exhausted::Segments))
     }
 
     /// Appends a slot for `meta` in an open segment of `class`, returning
@@ -1161,70 +1198,48 @@ impl StorageManager {
         let mut carried = core::mem::take(&mut self.carry_scratch);
         carried.clear();
         self.table.peek_carried_into(victim, &mut carried);
-        let relogged = if carried.is_empty() {
-            false
-        } else {
-            match self.log_carried_tombstones(&mut carried) {
-                Ok(durable) => durable,
-                Err(e) => {
-                    carried.clear();
-                    self.carry_scratch = carried;
-                    return Err(e);
-                }
-            }
-        };
-        let block = self.flash.block_of(self.table.block_addr(victim));
-        let r = match self.flash.erase_async(block) {
-            Ok(done) => {
-                if relogged {
-                    // Already durable: discard the release-time copies.
-                    self.table.begin_erase_into(victim, done, &mut carried);
-                } else {
-                    self.table
-                        .begin_erase_into(victim, done, &mut self.pending_tombstones);
-                }
-                Ok(())
-            }
-            Err(DeviceError::WornOut { .. }) | Err(DeviceError::BadBlock { .. }) => {
-                if relogged {
-                    self.table.retire_into(victim, &mut carried);
-                } else {
-                    self.table.retire_into(victim, &mut self.pending_tombstones);
-                }
-                Ok(())
-            }
-            Err(e) => Err(e.into()),
-        };
+        let logged = self.log_carried_tombstones(&carried);
         carried.clear();
         self.carry_scratch = carried;
-        r
+        logged?;
+        let block = self.flash.block_of(self.table.block_addr(victim));
+        match self.flash.erase_async(block) {
+            Ok(done) => self.table.begin_erase(victim, done),
+            Err(DeviceError::WornOut { .. }) | Err(DeviceError::BadBlock { .. }) => {
+                self.table.retire(victim)
+            }
+            Err(e) => return Err(e.into()),
+        }
+        Ok(())
     }
 
-    /// Durably logs carried tombstone records into the cold head ahead
-    /// of a segment erase. Returns `Ok(true)` when every record was
-    /// programmed; `Ok(false)` means no segment could be opened without
-    /// recursing into GC and the records went to the DRAM pending list
-    /// instead (the degraded pre-fix behaviour).
+    /// Durably logs carried tombstone records into the write head ahead
+    /// of a segment erase. If no segment can be opened without recursing
+    /// into GC, the records not yet logged go to the DRAM pending list
+    /// instead (the degraded pre-fix behaviour). No GC runs between the
+    /// open and the program, so each slot programs straight from
+    /// `records`.
     // lint: hot-path
-    fn log_carried_tombstones(&mut self, records: &mut Vec<(PageId, u64)>) -> Result<bool> {
+    fn log_carried_tombstones(&mut self, records: &[(PageId, u64)]) -> Result<()> {
         let per_slot = self.tombstones_per_slot();
-        while !records.is_empty() {
+        let mut rest = records;
+        while !rest.is_empty() {
             let Ok(seg) = self.ensure_open(SegClass::Write, false) else {
-                self.pending_tombstones.append(records);
-                return Ok(false);
+                self.pending_tombstones.extend_from_slice(rest);
+                return Ok(());
             };
-            let take = per_slot.min(records.len());
-            let batch = self.table.tomb_batch(records, take);
+            let (batch, tail) = rest.split_at(per_slot.min(rest.len()));
             self.program_tomb_slot(seg, batch)?;
+            rest = tail;
         }
-        Ok(true)
+        Ok(())
     }
 
     /// Appends `batch` as a tombstone slot in open segment `seg` and
     /// programs it: tombstone slots are real programs of a zeroed
     /// payload, with the records in the slot header.
     // lint: hot-path
-    fn program_tomb_slot(&mut self, seg: usize, batch: Vec<(PageId, u64)>) -> Result<()> {
+    fn program_tomb_slot(&mut self, seg: usize, batch: &[(PageId, u64)]) -> Result<()> {
         let now = self.now();
         let slot = self.table.append_tomb(seg, batch, now);
         let addr = self.table.slot_addr(seg, slot);
@@ -1361,15 +1376,14 @@ impl StorageManager {
             // the manager is out of space and the error is terminal for
             // the operation that triggered the flush.
             let take = per_slot.min(self.pending_tombstones.len());
-            let batch = self.table.tomb_batch(&mut self.pending_tombstones, take);
-            let seg = match self.ensure_open(SegClass::Write, true) {
-                Ok(seg) => seg,
-                Err(e) => {
-                    self.table.recycle_tomb_batch(batch);
-                    return Err(e);
-                }
-            };
-            self.program_tomb_slot(seg, batch)?;
+            let mut batch = self.tomb_batches.pop().unwrap_or_default();
+            batch.extend(self.pending_tombstones.drain(..take));
+            let programmed = self
+                .ensure_open(SegClass::Write, true)
+                .and_then(|seg| self.program_tomb_slot(seg, &batch));
+            batch.clear();
+            self.tomb_batches.push(batch);
+            programmed?;
         }
         Ok(())
     }
@@ -1605,7 +1619,7 @@ impl StorageManager {
                 for slot in 0..n {
                     let expect = match &self.table.seg(seg).slots[slot] {
                         Slot::Live(m) | Slot::Dead(m) => m.crc,
-                        Slot::Tomb(_) => self.zero_crc,
+                        Slot::Tomb { .. } => self.zero_crc,
                         Slot::Empty => continue,
                     };
                     let addr = self.table.slot_addr(seg, slot) as usize;
@@ -1833,7 +1847,7 @@ mod tests {
         for p in 0.. {
             match m.write_page(p, &data) {
                 Ok(()) => wrote += 1,
-                Err(StorageError::NoSpace) => break,
+                Err(StorageError::NoSpace(Exhausted::Capacity)) => break,
                 Err(e) => panic!("unexpected error {e}"),
             }
             if wrote > cap + 10 {
@@ -2249,6 +2263,39 @@ mod tests {
         for p in [0u64, 1, 2, 4, 5, 6, 7] {
             assert!(m.contains(p), "page {p} must survive");
         }
+    }
+
+    /// When no segment can take the carried records ahead of an erase
+    /// (no Free segment, no erase pending), they fall back to the DRAM
+    /// pending list — each exactly once. A second, release-time carry
+    /// filter used to queue them again as the erase began.
+    #[test]
+    fn unloggable_carried_tombstones_are_queued_once() {
+        let (mut m, _) = manager();
+        for p in 0..8u64 {
+            m.write_page(p, &page_of(p as u8)).expect("write");
+        }
+        m.sync().expect("sync");
+        m.free_page(3).expect("free");
+        m.free_page(5).expect("free");
+        m.sync().expect("sync tombstones");
+        let tomb_seg = m.open_write.expect("tombstone flush opened a write head");
+        let carried: Vec<_> = m.table.seg(tomb_seg).tomb_records().collect();
+        assert_eq!(carried.len(), 2);
+        assert!(carried.iter().all(|&(p, _)| m.table.has_dead_copies(p)));
+        // Close the victim and use up every Free segment so that
+        // `ensure_open(Write, false)` fails.
+        m.table.close(tomb_seg);
+        m.open_write = None;
+        let free: Vec<_> = m.table.segments_in(SegState::Free).collect();
+        for seg in free {
+            m.table.open(seg);
+        }
+        assert_eq!(m.table.pending_erases(), 0);
+        assert!(m.pending_tombstones.is_empty());
+        m.retire_or_erase(tomb_seg).expect("erase");
+        assert_eq!(m.pending_tombstones, carried);
+        m.check_invariants();
     }
 
     /// A program torn by power loss must be detected by the slot CRC and

@@ -33,7 +33,7 @@ pub struct SlotMeta {
 }
 
 /// A slot's lifecycle.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Slot {
     /// Never programmed since the last erase.
     Empty,
@@ -41,8 +41,14 @@ pub enum Slot {
     Live(SlotMeta),
     /// Holds a stale copy (page rewritten or deleted); reclaimed by GC.
     Dead(SlotMeta),
-    /// Holds batched deletion tombstones.
-    Tomb(Vec<(PageId, u64)>),
+    /// Holds batched deletion tombstones: records `first..first + len`
+    /// of its segment's [`Segment::tombstones`] store.
+    Tomb {
+        /// Index of the slot's first record in the store.
+        first: usize,
+        /// Number of records the slot carries.
+        len: usize,
+    },
 }
 
 /// A segment's lifecycle.
@@ -73,7 +79,8 @@ pub struct Segment {
     pub live: usize,
     /// Most recent append instant (the "age" input to cost-benefit GC).
     pub youngest_write: SimTime,
-    /// Deletion tombstones durably recorded in this segment.
+    /// Deletion records of this segment's tombstone slots, in slot order
+    /// — the only copy; each [`Slot::Tomb`] names its range here.
     pub tombstones: Vec<(PageId, u64)>,
 }
 
@@ -119,6 +126,39 @@ impl Segment {
             }
         }
     }
+
+    /// The deletion records of the surviving tombstone slots, in slot
+    /// order. A slot recovery discarded as torn is `Empty`, so its
+    /// records drop out here without touching the store.
+    pub fn tomb_records(&self) -> impl Iterator<Item = (PageId, u64)> + '_ {
+        self.slots
+            .iter()
+            .filter_map(|slot| match *slot {
+                Slot::Tomb { first, len } => self.tombstones.get(first..first + len),
+                _ => None,
+            })
+            .flatten()
+            .copied()
+    }
+
+    /// Returns the segment to the erased state — the one "back to Free"
+    /// rule. `youngest_write` is left as is: GC still ranks a segment
+    /// that is opened and closed again before any append by that age.
+    fn reset(&mut self) {
+        self.state = SegState::Free;
+        self.next_slot = 0;
+        self.live = 0;
+        self.tombstones.clear();
+        self.slots.fill(Slot::Empty);
+    }
+
+    /// Whether the segment holds nothing, as [`Segment::reset`] leaves it.
+    fn is_reset(&self) -> bool {
+        self.next_slot == 0
+            && self.live == 0
+            && self.tombstones.is_empty()
+            && self.slots.iter().all(|s| *s == Slot::Empty)
+    }
 }
 
 /// The table of all log segments plus free/erase bookkeeping.
@@ -141,12 +181,6 @@ pub struct SegmentTable {
     /// Retired segments, maintained by [`SegmentTable::retire`]; part of
     /// the wear-spread cache key in the manager.
     retired_count: usize,
-    /// Recycled backing stores for tombstone slots. A `Slot::Tomb` owns a
-    /// `Vec` of deletion records; when its segment is erased and reaped,
-    /// the vector returns here with its capacity intact so the next
-    /// tombstone flush needs no allocation. Bounded by the maximum number
-    /// of tombstone slots ever simultaneously on flash.
-    tomb_pool: Vec<Vec<(PageId, u64)>>,
 }
 
 impl SegmentTable {
@@ -171,18 +205,11 @@ impl SegmentTable {
             block_bytes,
             page_size,
             // Sized up front so steady-state GC/erase churn never grows
-            // them: every segment can have at most one pending erase, and
-            // the tombstone pool is stocked with ready batches (a batch
-            // carries at most one record per victim slot).
+            // it: every segment can have at most one pending erase.
             pending_erase: Vec::with_capacity(count),
             dead_copies: DenseIndex::new(crate::map::DEFAULT_DENSE_PAGES),
             free_count: count,
             retired_count: 0,
-            // A tombstone slot holds page_size / 16 records (RECORD_BYTES
-            // in the manager), which bounds any batch drained into it.
-            tomb_pool: (0..2)
-                .map(|_| Vec::with_capacity((page_size / 16).max(16) as usize))
-                .collect(),
         }
     }
 
@@ -199,11 +226,6 @@ impl SegmentTable {
     /// Immutable access to a segment.
     pub fn seg(&self, idx: usize) -> &Segment {
         &self.segments[idx]
-    }
-
-    /// Mutable access to a segment.
-    pub fn seg_mut(&mut self, idx: usize) -> &mut Segment {
-        &mut self.segments[idx]
     }
 
     /// Free segments, O(1): the count is maintained on every state
@@ -285,20 +307,11 @@ impl SegmentTable {
     ///
     /// Panics if the segment is not free.
     pub fn open(&mut self, seg: usize) {
-        assert_eq!(
-            self.segments[seg].state,
-            SegState::Free,
-            "open of non-free segment"
-        );
-        self.free_count -= 1;
         let s = &mut self.segments[seg];
+        assert_eq!(s.state, SegState::Free, "open of non-free segment");
+        debug_assert!(s.is_reset(), "free segment {seg} was not reset");
         s.state = SegState::Open;
-        s.next_slot = 0;
-        s.live = 0;
-        s.tombstones.clear();
-        for slot in &mut s.slots {
-            *slot = Slot::Empty;
-        }
+        self.free_count -= 1;
     }
 
     /// Appends a page to an open segment, returning the slot index used.
@@ -318,32 +331,6 @@ impl SegmentTable {
         slot
     }
 
-    /// Drains the first `take` records of `pending` into a batch whose
-    /// backing store comes from the reuse pool, so a steady-state
-    /// tombstone flush performs no allocation once the pool is warm.
-    /// Hand the batch to [`SegmentTable::append_tomb`], or return it via
-    /// [`SegmentTable::recycle_tomb_batch`] if no segment can be opened.
-    // lint: hot-path
-    pub fn tomb_batch(
-        &mut self,
-        pending: &mut Vec<(PageId, u64)>,
-        take: usize,
-    ) -> Vec<(PageId, u64)> {
-        let mut batch = self.tomb_pool.pop().unwrap_or_default();
-        batch.clear();
-        batch.extend(pending.drain(..take));
-        batch
-    }
-
-    /// Returns an unused batch's backing store to the reuse pool. Its
-    /// entries are discarded, not re-queued: a batch that found no open
-    /// segment is lost with the failed flush.
-    // lint: hot-path
-    pub fn recycle_tomb_batch(&mut self, mut batch: Vec<(PageId, u64)>) {
-        batch.clear();
-        self.tomb_pool.push(batch);
-    }
-
     /// Appends a tombstone slot carrying deletion `entries`, returning the
     /// slot index used. Tombstone slots never count as live.
     ///
@@ -351,13 +338,16 @@ impl SegmentTable {
     ///
     /// Panics if the segment is not open or is full.
     // lint: hot-path
-    pub fn append_tomb(&mut self, seg: usize, entries: Vec<(PageId, u64)>, now: SimTime) -> usize {
+    pub fn append_tomb(&mut self, seg: usize, entries: &[(PageId, u64)], now: SimTime) -> usize {
         let s = &mut self.segments[seg];
         assert_eq!(s.state, SegState::Open, "append to non-open segment");
         assert!(!s.is_full(), "append to full segment");
         let slot = s.next_slot;
-        s.tombstones.extend(entries.iter().copied());
-        s.slots[slot] = Slot::Tomb(entries);
+        s.slots[slot] = Slot::Tomb {
+            first: s.tombstones.len(),
+            len: entries.len(),
+        };
+        s.tombstones.extend_from_slice(entries);
         s.next_slot += 1;
         s.youngest_write = now;
         slot
@@ -368,27 +358,14 @@ impl SegmentTable {
     /// Recovery-only — liveness and dead-copy accounting are left to the
     /// [`SegmentTable::recover_liveness`] rebuild that follows, which
     /// recomputes both from scratch and skips `Empty` slots. A discarded
-    /// tombstone slot also drops its records from the segment's carried
-    /// set (they were never durable).
+    /// tombstone slot's records (never durable) drop out of
+    /// [`Segment::tomb_records`] with it.
     pub fn invalidate_slot(&mut self, seg: usize, slot: usize) {
-        let s = &mut self.segments[seg];
-        if let Slot::Tomb(v) = core::mem::replace(&mut s.slots[slot], Slot::Empty) {
-            let mut v = v;
-            v.clear();
-            self.tomb_pool.push(v);
-            let s = &mut self.segments[seg];
-            s.tombstones.clear();
-            // Rebuild the aggregate from the tombstone slots that survive.
-            for sl in 0..s.slots.len() {
-                if let Slot::Tomb(entries) = &s.slots[sl] {
-                    s.tombstones.extend(entries.iter().copied());
-                }
-            }
-        }
+        self.segments[seg].slots[slot] = Slot::Empty;
     }
 
     /// Permanently retires a *free* segment whose block wore out during a
-    /// post-recovery scrub erase. Unlike [`SegmentTable::retire_into`]
+    /// post-recovery scrub erase. Unlike [`SegmentTable::retire`]
     /// there is no metadata to release: the segment holds nothing.
     ///
     /// # Panics
@@ -461,11 +438,11 @@ impl SegmentTable {
     }
 
     /// Common bookkeeping for removing a closed, fully dead segment from
-    /// circulation: forgets its stale copies and appends to `carried` the
-    /// tombstones that must be re-logged because stale copies of their
-    /// pages still exist elsewhere.
+    /// circulation: forgets its stale copies. Its tombstone records stay
+    /// in place until the segment is reset; the records that must outlive
+    /// it were logged from [`SegmentTable::peek_carried_into`] first.
     // lint: hot-path
-    fn release_metadata_into(&mut self, seg: usize, carried: &mut Vec<(PageId, u64)>) {
+    fn release_metadata(&mut self, seg: usize) {
         assert_eq!(
             self.segments[seg].state,
             SegState::Closed,
@@ -491,15 +468,6 @@ impl SegmentTable {
                 }
             }
         }
-        let mut tombs = core::mem::take(&mut self.segments[seg].tombstones);
-        carried.extend(
-            tombs
-                .drain(..)
-                .filter(|(p, _)| self.dead_copies.get(*p).is_some_and(|n| n > 0)),
-        );
-        // Hand the (drained) vector back so its capacity is reused the
-        // next time this segment accumulates tombstones.
-        self.segments[seg].tombstones = tombs;
     }
 
     /// Appends to `out` the tombstones in `seg` whose loss could
@@ -507,59 +475,35 @@ impl SegmentTable {
     /// (dead) copy on flash — *including* copies inside `seg` itself.
     /// The erase path logs these durably *before* issuing the erase.
     ///
-    /// This is deliberately broader than the filter in
-    /// [`SegmentTable::release_metadata_into`] (which skips tombstones
-    /// whose only stale copies die with the segment): a *torn* erase can
-    /// wipe the half of the block holding the tombstone slot while the
-    /// half holding the stale data copy survives, and recovery would
-    /// then pick the stale copy as the page's winner — a synced delete
-    /// coming back from the dead.
+    /// This is the one carry filter. It deliberately keeps records whose
+    /// only stale copies die with the segment: a *torn* erase can wipe
+    /// the half of the block holding the tombstone slot while the half
+    /// holding the stale data copy survives, and recovery would then
+    /// pick the stale copy as the page's winner — a synced delete coming
+    /// back from the dead.
     // lint: hot-path
     pub fn peek_carried_into(&self, seg: usize, out: &mut Vec<(PageId, u64)>) {
-        let s = &self.segments[seg];
-        for &(page, seq) in &s.tombstones {
-            if self.dead_copies.get(page).is_some_and(|n| n > 0) {
-                out.push((page, seq));
-            }
-        }
+        out.extend(
+            self.segments[seg]
+                .tomb_records()
+                .filter(|&(page, _)| self.has_dead_copies(page)),
+        );
     }
 
     /// Begins erasing a closed segment; it becomes usable again once
     /// [`SegmentTable::reap_erased`] is called past `completes`.
-    /// Tombstones to carry forward are appended to `carried`.
     // lint: hot-path
-    pub fn begin_erase_into(
-        &mut self,
-        seg: usize,
-        completes: SimTime,
-        carried: &mut Vec<(PageId, u64)>,
-    ) {
-        self.release_metadata_into(seg, carried);
+    pub fn begin_erase(&mut self, seg: usize, completes: SimTime) {
+        self.release_metadata(seg);
         self.segments[seg].state = SegState::ErasePending;
         self.pending_erase.push((completes, seg));
     }
 
-    /// Allocating convenience wrapper over
-    /// [`SegmentTable::begin_erase_into`].
-    pub fn begin_erase(&mut self, seg: usize, completes: SimTime) -> Vec<(PageId, u64)> {
-        let mut carried = Vec::new();
-        self.begin_erase_into(seg, completes, &mut carried);
-        carried
-    }
-
-    /// Permanently retires a worn-out closed segment. Tombstones to carry
-    /// forward are appended to `carried`.
-    pub fn retire_into(&mut self, seg: usize, carried: &mut Vec<(PageId, u64)>) {
-        self.release_metadata_into(seg, carried);
+    /// Permanently retires a worn-out closed segment.
+    pub fn retire(&mut self, seg: usize) {
+        self.release_metadata(seg);
         self.segments[seg].state = SegState::Retired;
         self.retired_count += 1;
-    }
-
-    /// Allocating convenience wrapper over [`SegmentTable::retire_into`].
-    pub fn retire(&mut self, seg: usize) -> Vec<(PageId, u64)> {
-        let mut carried = Vec::new();
-        self.retire_into(seg, &mut carried);
-        carried
     }
 
     /// Moves segments whose erase has completed by `now` back to the free
@@ -578,20 +522,7 @@ impl SegmentTable {
                 continue;
             }
             self.pending_erase.swap_remove(i);
-            let s = &mut self.segments[seg];
-            s.state = SegState::Free;
-            s.next_slot = 0;
-            s.live = 0;
-            for slot in &mut s.slots {
-                // Recycle tombstone backing stores instead of dropping
-                // them: tomb_batch draws from the pool.
-                if let Slot::Tomb(v) = slot {
-                    let mut v = core::mem::take(v);
-                    v.clear();
-                    self.tomb_pool.push(v);
-                }
-                *slot = Slot::Empty;
-            }
+            self.segments[seg].reset();
             self.free_count += 1;
             reaped += 1;
         }
@@ -610,18 +541,7 @@ impl SegmentTable {
     pub fn recover_liveness(&mut self) -> (BTreeMap<PageId, u64>, u64) {
         // Interrupted erases complete conceptually at recovery time: the
         // block contents are indeterminate, so treat them as erased.
-        let pending: Vec<usize> = self.pending_erase.drain(..).map(|(_, s)| s).collect();
-        for seg in pending {
-            let s = &mut self.segments[seg];
-            s.state = SegState::Free;
-            s.next_slot = 0;
-            s.live = 0;
-            s.tombstones.clear();
-            for slot in &mut s.slots {
-                *slot = Slot::Empty;
-            }
-            self.free_count += 1;
-        }
+        self.reap_erased(SimTime::MAX);
 
         // The write heads died with the power: half-filled open segments
         // are closed so GC can reclaim them. (Recovery has no trustworthy
@@ -633,7 +553,11 @@ impl SegmentTable {
             }
         }
 
-        // Pass 1: find the winning sequence per page.
+        // Pass 1: find the winning sequence per page. Every data and
+        // tombstone record carries a distinct sequence except copies of
+        // the same record (GC relocations, re-logged tombstones), so
+        // visiting a segment's tombstone records after its data slots
+        // picks the same winners as one walk in slot order.
         #[derive(Clone, Copy)]
         struct Winner {
             seq: u64,
@@ -646,30 +570,25 @@ impl SegmentTable {
                 continue;
             }
             for (wi, slot) in s.slots.iter().enumerate() {
-                match slot {
-                    Slot::Live(m) | Slot::Dead(m) => {
-                        max_seq = max_seq.max(m.seq);
-                        let w = winners.entry(m.page).or_insert(Winner {
+                if let Slot::Live(m) | Slot::Dead(m) = slot {
+                    max_seq = max_seq.max(m.seq);
+                    let w = winners.entry(m.page).or_insert(Winner {
+                        seq: m.seq,
+                        slot: Some((si, wi)),
+                    });
+                    if m.seq >= w.seq {
+                        *w = Winner {
                             seq: m.seq,
                             slot: Some((si, wi)),
-                        });
-                        if m.seq >= w.seq {
-                            *w = Winner {
-                                seq: m.seq,
-                                slot: Some((si, wi)),
-                            };
-                        }
+                        };
                     }
-                    Slot::Tomb(entries) => {
-                        for &(page, seq) in entries {
-                            max_seq = max_seq.max(seq);
-                            let w = winners.entry(page).or_insert(Winner { seq, slot: None });
-                            if seq >= w.seq {
-                                *w = Winner { seq, slot: None };
-                            }
-                        }
-                    }
-                    Slot::Empty => {}
+                }
+            }
+            for (page, seq) in s.tomb_records() {
+                max_seq = max_seq.max(seq);
+                let w = winners.entry(page).or_insert(Winner { seq, slot: None });
+                if seq >= w.seq {
+                    *w = Winner { seq, slot: None };
                 }
             }
         }
@@ -708,15 +627,6 @@ impl SegmentTable {
         (live_map, max_seq)
     }
 
-    /// Total slots programmed (headers recovery would have to scan).
-    pub fn programmed_slots(&self) -> usize {
-        self.segments
-            .iter()
-            .filter(|s| !matches!(s.state, SegState::Free))
-            .map(|s| s.next_slot)
-            .sum()
-    }
-
     /// Earliest pending-erase completion, if any.
     pub fn next_erase_completion(&self) -> Option<SimTime> {
         self.pending_erase.iter().map(|&(t, _)| t).min()
@@ -725,6 +635,67 @@ impl SegmentTable {
     /// Number of erases in flight.
     pub fn pending_erases(&self) -> usize {
         self.pending_erase.len()
+    }
+
+    /// Recounts the whole table and panics at the first broken rule:
+    ///
+    /// - each segment's `live` equals its Live-slot count;
+    /// - no slot at or past `next_slot` is programmed, and Free segments
+    ///   are reset;
+    /// - `Tomb` ranges lie in slot order inside the segment's store;
+    /// - the free and retired counters equal a scan;
+    /// - `dead_copies` equals a recount of the Dead slots in Open and
+    ///   Closed segments.
+    ///
+    /// A full scan that allocates: for tests and the crash-torture
+    /// harness, not the write path.
+    pub fn check_invariants(&self) {
+        let mut dead: BTreeMap<PageId, u32> = BTreeMap::new();
+        for (i, s) in self.segments.iter().enumerate() {
+            let live = s
+                .slots
+                .iter()
+                .filter(|x| matches!(x, Slot::Live(_)))
+                .count();
+            assert_eq!(s.live, live, "segment {i}: live count vs Live slots");
+            assert!(
+                s.slots.iter().skip(s.next_slot).all(|x| *x == Slot::Empty),
+                "segment {i}: programmed slot at or past next_slot {}",
+                s.next_slot
+            );
+            assert!(
+                s.state != SegState::Free || s.is_reset(),
+                "segment {i}: free but not reset"
+            );
+            let mut end = 0;
+            for slot in &s.slots {
+                if let Slot::Tomb { first, len } = *slot {
+                    assert!(
+                        first >= end && first + len <= s.tombstones.len(),
+                        "segment {i}: tombstone range {first}+{len} out of order or past the store"
+                    );
+                    end = first + len;
+                }
+                if let Slot::Dead(m) = slot {
+                    if matches!(s.state, SegState::Open | SegState::Closed) {
+                        *dead.entry(m.page).or_insert(0) += 1;
+                    }
+                }
+            }
+        }
+        let scan = |state| self.segments.iter().filter(|s| s.state == state).count();
+        assert_eq!(
+            self.free_count,
+            scan(SegState::Free),
+            "free-segment counter"
+        );
+        assert_eq!(
+            self.retired_count,
+            scan(SegState::Retired),
+            "retired-segment counter"
+        );
+        let tracked: BTreeMap<PageId, u32> = self.dead_copies.iter().collect();
+        assert_eq!(tracked, dead, "dead-copy index vs a recount of Dead slots");
     }
 }
 
@@ -805,11 +776,25 @@ mod tests {
     fn tomb_slots_consume_space_but_not_liveness() {
         let mut tb = table();
         tb.open(0);
-        let slot = tb.append_tomb(0, vec![(9, 5), (10, 6)], t(1));
+        let slot = tb.append_tomb(0, &[(9, 5), (10, 6)], t(1));
         assert_eq!(slot, 0);
         assert_eq!(tb.seg(0).live, 0);
         assert_eq!(tb.seg(0).next_slot, 1);
         assert_eq!(tb.seg(0).tombstones, vec![(9, 5), (10, 6)]);
+        tb.check_invariants();
+    }
+
+    #[test]
+    fn invalidated_tomb_slot_drops_out_of_the_records() {
+        let mut tb = table();
+        tb.open(0);
+        tb.append_tomb(0, &[(1, 1), (2, 2)], t(0));
+        let torn = tb.append_tomb(0, &[(3, 3)], t(0));
+        tb.append_tomb(0, &[(4, 4)], t(0));
+        tb.invalidate_slot(0, torn);
+        let records: Vec<_> = tb.seg(0).tomb_records().collect();
+        assert_eq!(records, vec![(1, 1), (2, 2), (4, 4)]);
+        tb.check_invariants();
     }
 
     #[test]
@@ -819,13 +804,17 @@ mod tests {
         let s = tb.append(0, sm(1, 1), t(0));
         tb.kill_at(tb.slot_addr(0, s));
         tb.close(0);
-        let carried = tb.begin_erase(0, t(5));
-        assert!(carried.is_empty());
+        tb.begin_erase(0, t(5));
         assert_eq!(tb.pending_erases(), 1);
         assert_eq!(tb.reap_erased(t(4)), 0);
+        tb.check_invariants();
         assert_eq!(tb.reap_erased(t(5)), 1);
         assert_eq!(tb.seg(0).state, SegState::Free);
         assert!(!tb.has_dead_copies(1));
+        tb.check_invariants();
+        // The reaped segment is reset and can be opened again.
+        tb.open(0);
+        assert_eq!(tb.seg(0).next_slot, 0);
     }
 
     #[test]
@@ -849,6 +838,11 @@ mod tests {
 
     #[test]
     fn tombstones_carried_only_while_stale_copies_remain() {
+        let carried = |tb: &SegmentTable, seg| {
+            let mut out = Vec::new();
+            tb.peek_carried_into(seg, &mut out);
+            out
+        };
         let mut tb = table();
         // Page 9's stale copy lives in segment 1; its tombstone was logged
         // in segment 0.
@@ -856,10 +850,10 @@ mod tests {
         let s = tb.append(1, sm(9, 1), t(0));
         tb.kill_at(tb.slot_addr(1, s));
         tb.open(0);
-        tb.append_tomb(0, vec![(9, 2)], t(1));
+        tb.append_tomb(0, &[(9, 2), (5, 2)], t(1));
         tb.close(0);
-        let carried = tb.begin_erase(0, t(1));
-        assert_eq!(carried, vec![(9, 2)]);
+        assert_eq!(carried(&tb, 0), vec![(9, 2)]);
+        tb.begin_erase(0, t(1));
 
         // Once segment 1 (the stale copy) is erased too, a fresh tombstone
         // can be dropped with its segment.
@@ -867,10 +861,45 @@ mod tests {
         tb.begin_erase(1, t(2));
         tb.reap_erased(t(3));
         tb.open(2);
-        tb.append_tomb(2, vec![(9, 3)], t(4));
+        tb.append_tomb(2, &[(9, 3)], t(4));
         tb.close(2);
-        let carried = tb.begin_erase(2, t(4));
-        assert!(carried.is_empty());
+        assert!(carried(&tb, 2).is_empty());
+    }
+
+    /// The carry filter keeps a record whose only stale copy sits in the
+    /// victim itself: a torn erase could keep that copy and lose the
+    /// tombstone.
+    #[test]
+    fn carry_filter_covers_the_victims_own_stale_copies() {
+        let mut tb = table();
+        tb.open(0);
+        let s = tb.append(0, sm(9, 1), t(0));
+        tb.kill_at(tb.slot_addr(0, s));
+        tb.append_tomb(0, &[(9, 2)], t(1));
+        tb.close(0);
+        let mut out = Vec::new();
+        tb.peek_carried_into(0, &mut out);
+        assert_eq!(out, vec![(9, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dead-copy index")]
+    fn invariant_check_catches_a_lost_dead_copy() {
+        let mut tb = table();
+        tb.open(0);
+        let s = tb.append(0, sm(9, 1), t(0));
+        tb.kill_at(tb.slot_addr(0, s));
+        tb.check_invariants();
+        tb.dead_copies.remove(9);
+        tb.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "free but not reset")]
+    fn invariant_check_catches_a_free_segment_with_contents() {
+        let mut tb = table();
+        tb.segments[3].tombstones.push((1, 1));
+        tb.check_invariants();
     }
 
     #[test]
@@ -890,7 +919,7 @@ mod tests {
         tb.append(0, sm(1, 1), t(0));
         let s2 = tb.append(0, sm(2, 2), t(0));
         tb.kill_at(tb.slot_addr(0, s2));
-        tb.append_tomb(0, vec![(2, 3)], t(0));
+        tb.append_tomb(0, &[(2, 3)], t(0));
         let mut live = Vec::new();
         tb.seg(0).live_slots_into(&mut live);
         assert_eq!(live.len(), 1);

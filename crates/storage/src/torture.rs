@@ -379,6 +379,7 @@ pub fn count_boundaries(
     // surface any error here rather than per-cut.
     m.crash();
     m.recover()?;
+    m.check_invariants();
     Ok(m.boundary_ops())
 }
 
@@ -407,6 +408,7 @@ pub fn run_cut(
         }
     };
     if recovery.is_some() {
+        m.check_invariants();
         model.verify(&mut m, &mut violations);
     }
     CutReport {

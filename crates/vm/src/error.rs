@@ -64,7 +64,7 @@ mod tests {
 
     #[test]
     fn wraps_storage() {
-        let e: VmError = StorageError::NoSpace.into();
+        let e: VmError = StorageError::NoSpace(ssmc_storage::Exhausted::Capacity).into();
         assert!(matches!(e, VmError::Storage(_)));
     }
 }

@@ -17,7 +17,7 @@
 
 use ssmc::device::FlashSpec;
 use ssmc::sim::{Clock, SimDuration, SimRng};
-use ssmc::storage::{StorageConfig, StorageManager};
+use ssmc::storage::{Exhausted, StorageConfig, StorageManager};
 use std::collections::HashMap;
 
 const PAGE: usize = 512;
@@ -92,7 +92,7 @@ fn check_against_model(ops: &[Op], ctx: &str) {
                     current.insert(p, b);
                     history.entry(p).or_default().push(b);
                 }
-                Err(ssmc::storage::StorageError::NoSpace) => {
+                Err(ssmc::storage::StorageError::NoSpace(Exhausted::Capacity)) => {
                     // Model must agree capacity was the issue.
                     assert!(
                         !current.contains_key(&p),
@@ -165,11 +165,13 @@ fn check_against_model(ops: &[Op], ctx: &str) {
                 synced = rebuilt;
             }
         }
-        // Global invariant: live pages within capacity.
+        // Global invariants: live pages within capacity, and the segment
+        // table's bookkeeping agrees with a full recount.
         assert!(
             sm.pages_live() <= sm.page_capacity() + 1,
             "{ctx}: live pages exceed capacity"
         );
+        sm.check_invariants();
     }
 }
 

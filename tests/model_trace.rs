@@ -130,7 +130,7 @@ fn segment_recovery_picks_highest_sequence() {
                 }
             };
             if is_tomb {
-                table.append_tomb(seg, vec![(page, seq)], SimTime::ZERO);
+                table.append_tomb(seg, &[(page, seq)], SimTime::ZERO);
             } else {
                 // A newer data copy makes the old one dead; the recovery
                 // scan must reconstruct this without our help, so just
@@ -142,6 +142,7 @@ fn segment_recovery_picks_highest_sequence() {
         }
 
         let (live, max_seq) = table.recover_liveness();
+        table.check_invariants();
         assert_eq!(max_seq, seq, "{ctx}: max sequence");
         let expected_live: HashSet<u64> = latest
             .iter()
